@@ -21,9 +21,6 @@ Error averages use exact summation, so they do not depend on the order
 of the parameter grid. Parameter values where either model fails to
 converge are excluded from both error and timing averages (and counted
 in ``n_failures``), keeping the comparison fair.
-
-Set the environment variable ``ROM2L_THREADS`` to parallelize the error
-sweep; the timing sweep always runs serially.
 """
 
 from __future__ import annotations
@@ -33,11 +30,9 @@ import io
 import json
 import logging
 import math
-import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -221,12 +216,13 @@ def _mean(values) -> float:
     return math.fsum(vals) / len(vals)
 
 
-def _solve_errors(ws, basis, triple, guess, prob_q, cfg):
-    """Error-pass solves for one parameter value; returns a partial record."""
+def _measure(ws, basis, triple, guess, prob_q, cfg) -> QRecord:
+    """Errors of both solves at one parameter value and, when neither
+    fails, their average wall times."""
     r, r1, r2 = triple
     mesh = basis.mesh
     exact = exact_u(prob_q, mesh.nodes)
-    err_1l = err_2l = math.nan
+    err_1l = err_2l = t_1l = t_2l = math.nan
     iters_1l = iters_2l = -1
     failed_1l = failed_2l = False
     try:
@@ -243,7 +239,19 @@ def _solve_errors(ws, basis, triple, guess, prob_q, cfg):
         iters_2l = stage1.iterations
     except _SOLVE_FAILURES:
         failed_2l = True
-    return err_1l, err_2l, iters_1l, iters_2l, failed_1l, failed_2l
+    if not (failed_1l or failed_2l):
+        t_1l, t_2l = _time_pair(ws, basis, triple, guess, prob_q, cfg)
+    return QRecord(
+        q=float(prob_q.q),
+        err_1l=err_1l,
+        err_2l=err_2l,
+        iters_1l=iters_1l,
+        iters_2l_stage1=iters_2l,
+        time_1l_s=t_1l,
+        time_2l_s=t_2l,
+        failed_1l=failed_1l,
+        failed_2l=failed_2l,
+    )
 
 
 def _time_pair(ws, basis, triple, guess, prob_q, cfg):
@@ -261,17 +269,6 @@ def _time_pair(ws, basis, triple, guess, prob_q, cfg):
         two_level_solve(basis, r, r2, prob_q, guess, newton, ws)
     t3 = time.perf_counter()
     return (t1 - t0) / cfg.reps, (t3 - t2) / cfg.reps
-
-
-def _n_threads() -> int:
-    raw = os.environ.get("ROM2L_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        logger.warning("ignoring non-integer ROM2L_THREADS=%r", raw)
-        return 1
 
 
 def run_experiment(cfg: ExperimentConfig, basis: PodBasis | None = None) -> ExperimentReport:
@@ -299,42 +296,14 @@ def run_experiment(cfg: ExperimentConfig, basis: PodBasis | None = None) -> Expe
     q_values = cfg.q_values()
     r_max = max(max(t[1], t[2]) for t in cfg.triples)
     ws = RomWorkspace(basis, r_max, cfg.problem.nu)
-    for t in cfg.triples:
-        for dim in t:
-            ws._blocks(dim)  # prewarm so threaded workers never mutate
-
-    n_threads = _n_threads()
     rows = []
     for triple in cfg.triples:
         triple = tuple(int(v) for v in triple)
         for guess in cfg.guesses:
-            probs = [with_parameter(cfg.problem, q) for q in q_values]
-            work = lambda p: _solve_errors(ws, basis, triple, guess, p, cfg)
-            if n_threads > 1:
-                with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                    partials = list(pool.map(work, probs))
-            else:
-                partials = [work(p) for p in probs]
-
-            records = []
-            for prob_q, partial in zip(probs, partials):
-                err_1l, err_2l, it1, it2, failed_1l, failed_2l = partial
-                t_1l = t_2l = math.nan
-                if not (failed_1l or failed_2l):
-                    t_1l, t_2l = _time_pair(ws, basis, triple, guess, prob_q, cfg)
-                records.append(
-                    QRecord(
-                        q=float(prob_q.q),
-                        err_1l=err_1l,
-                        err_2l=err_2l,
-                        iters_1l=it1,
-                        iters_2l_stage1=it2,
-                        time_1l_s=t_1l,
-                        time_2l_s=t_2l,
-                        failed_1l=failed_1l,
-                        failed_2l=failed_2l,
-                    )
-                )
+            records = tuple(
+                _measure(ws, basis, triple, guess, with_parameter(cfg.problem, q), cfg)
+                for q in q_values
+            )
             ok = [rec for rec in records if not (rec.failed_1l or rec.failed_2l)]
             err_1l = _mean(rec.err_1l for rec in ok)
             err_2l = _mean(rec.err_2l for rec in ok)
@@ -353,7 +322,7 @@ def run_experiment(cfg: ExperimentConfig, basis: PodBasis | None = None) -> Expe
                     error_ratio=err_2l / err_1l if err_1l else math.nan,
                     speedup=t_1l / t_2l if t_2l else math.nan,
                     n_failures=len(records) - len(ok),
-                    records=tuple(records),
+                    records=records,
                 )
             )
             logger.info(
@@ -380,7 +349,6 @@ def run_experiment(cfg: ExperimentConfig, basis: PodBasis | None = None) -> Expe
         "inner_product": cfg.inner_product,
         "newton": asdict(cfg.newton),
         "basis_rank": basis.rank,
-        "threads": n_threads,
         "clock": "time.perf_counter",
         "python": sys.version.split()[0],
         "numpy": np.__version__,
@@ -389,8 +357,7 @@ def run_experiment(cfg: ExperimentConfig, basis: PodBasis | None = None) -> Expe
     }
     report = ExperimentReport(rows=tuple(rows), metadata=metadata)
     if cfg.out_path:
-        fmt = _format_for_path(cfg.out_path)
-        emit_report(report, cfg.out_path, fmt)
+        emit_report(report, cfg.out_path)
     return report
 
 
@@ -455,8 +422,14 @@ def report_from_dict(data: dict) -> ExperimentReport:
     return ExperimentReport(rows=tuple(rows), metadata=data["metadata"])
 
 
-def emit_report(report: ExperimentReport, path, fmt: str = "csv") -> None:
-    """Write a report to ``path`` as ``csv``, ``markdown``, or ``json``."""
+def emit_report(report: ExperimentReport, path, fmt: str | None = None) -> None:
+    """Write a report to ``path`` as ``csv``, ``markdown``, or ``json``.
+
+    Without ``fmt`` the extension of ``path`` picks the format, ignoring
+    case: ``.json``, ``.md`` or ``.markdown``, anything else means CSV.
+    """
+    if fmt is None:
+        fmt = _format_for_path(path)
     if fmt not in ("csv", "markdown", "json"):
         raise ValueError(f"unknown report format {fmt!r}")
     with open(path, "w", encoding="utf-8") as fh:

@@ -202,14 +202,7 @@ def _run_and_report(args, cfg: ExperimentConfig) -> int:
     basis = load_basis(args.basis) if args.basis else None
     report = run_experiment(cfg, basis=basis)
     if args.out:
-        fmt = args.format or (
-            "json"
-            if args.out.endswith(".json")
-            else "markdown"
-            if args.out.endswith((".md", ".markdown"))
-            else "csv"
-        )
-        emit_report(report, args.out, fmt)
+        emit_report(report, args.out, args.format)
         print(f"report written to {args.out}")
     print(format_report(report, "markdown"), end="")
     failures = sum(row.n_failures for row in report.rows)

@@ -15,13 +15,16 @@ and convective contributions minus the projected forcing. ``A`` and
 with the forcing parameter, which is what makes the online stage cheap.
 
 :class:`RomWorkspace` precomputes the parameter-independent pieces once
-per basis at the largest dimension of interest; nested sub-blocks for
-any smaller dimension are views into the same arrays.
+per basis at the largest dimension of interest. The operators of any
+smaller dimension are its leading sub-blocks, cached as contiguous
+copies rather than slice views: ``np.tensordot`` copies a non-contiguous
+operand on every call, which made each Newton iteration measurably
+slower.
 """
 
 from __future__ import annotations
 
-import threading
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,10 +68,13 @@ class RomOperators:
 
 
 def _basis_fingerprint(basis: PodBasis) -> str:
-    head = basis.modes[: min(8, basis.modes.shape[0]), : min(4, basis.rank)]
+    """Provenance tag that is the same in every process for the same basis."""
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(basis.mean.coeffs).tobytes())
+    digest.update(np.ascontiguousarray(basis.modes).tobytes())
     return (
         f"rank={basis.rank};ip={basis.inner_product};"
-        f"nodes={basis.mesh.n_nodes};head={hash(head.tobytes()):x}"
+        f"nodes={basis.mesh.n_nodes};sha256={digest.hexdigest()}"
     )
 
 
@@ -76,7 +82,7 @@ class RomWorkspace:
     """Parameter-independent reduced operators, assembled once per basis.
 
     All quantities are stored at dimension ``r_max``; requesting a
-    smaller dimension slices the leading block, so bases are nested by
+    smaller dimension takes the leading block, so bases are nested by
     construction.
 
     Args:
@@ -121,7 +127,6 @@ class RomWorkspace:
         self.load_map = (vals * wq[:, None]).T  # maps f at quad points to (f, phi_i)
         self.fingerprint = _basis_fingerprint(basis)
         self._forcing_cache: dict[tuple, np.ndarray] = {}
-        self._cache_lock = threading.Lock()
         self._slices: dict[int, tuple] = {}
 
     def _dim(self, r: int | None) -> int:
@@ -150,10 +155,9 @@ class RomWorkspace:
         vals = self._forcing_cache.get(key)
         if vals is None:
             vals = forcing_f(prob, self.quad_x)
-            with self._cache_lock:
-                if len(self._forcing_cache) >= 8:
-                    self._forcing_cache.pop(next(iter(self._forcing_cache)))
-                self._forcing_cache[key] = vals
+            if len(self._forcing_cache) >= 8:
+                self._forcing_cache.pop(next(iter(self._forcing_cache)))
+            self._forcing_cache[key] = vals
         return vals
 
     def load_vector(self, f_quad_values: np.ndarray, r: int | None = None) -> np.ndarray:
@@ -178,6 +182,29 @@ class RomWorkspace:
             quadratic=quadratic,
             constant=b,
             meta={"nu": self.nu, "q": prob.q, "basis": self.fingerprint},
+        )
+
+    def restrict(self, ops: RomOperators, r: int) -> RomOperators:
+        """Leading dimension-``r`` block of operators built by this workspace.
+
+        Shares the cached ``A`` and ``B`` blocks that :meth:`operators`
+        returns at dimension ``r`` and takes ``b`` as the leading part of
+        ``ops.constant``, so no load vector is recomputed.
+
+        Raises:
+            DimensionError: if ``r`` is outside ``[1, ops.dim]``.
+        """
+        if not 1 <= r <= ops.dim:
+            raise DimensionError(f"dimension {r} outside [1, {ops.dim}]")
+        r = self._dim(r)
+        linear, diffusion, quadratic, _, _ = self._blocks(r)
+        return RomOperators(
+            dim=r,
+            linear=linear,
+            diffusion=diffusion,
+            quadratic=quadratic,
+            constant=ops.constant[:r],
+            meta=ops.meta,
         )
 
 

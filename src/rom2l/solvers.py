@@ -14,7 +14,6 @@ structure of the quadratic-element Jacobian with a banded factorization.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,9 +75,6 @@ class SolveOutcome:
         coeffs: final coefficient vector.
         iterations: number of Newton steps actually applied.
         final_residual_norm: Euclidean residual norm at ``coeffs``.
-        wall_time: seconds spent inside the solve loop.
-        converged: always True (failures raise instead); kept so callers
-            can treat outcomes uniformly.
         residual_history: residual norm at each visited iterate,
             ``iterations + 1`` entries.
     """
@@ -86,8 +82,6 @@ class SolveOutcome:
     coeffs: np.ndarray = field(repr=False)
     iterations: int
     final_residual_norm: float
-    wall_time: float
-    converged: bool
     residual_history: tuple[float, ...] = field(repr=False, default=())
 
 
@@ -116,7 +110,6 @@ def newton_solve(
             f"start vector has shape {a.shape}, operators have dimension {ops.dim}"
         )
     history: list[float] = []
-    t0 = time.perf_counter()
     for steps in range(cfg.max_iter + 1):
         res = rom.residual(ops, a)
         res_norm = float(np.linalg.norm(res))
@@ -133,13 +126,10 @@ def newton_solve(
                 f"singular Jacobian at iteration {steps}"
             ) from exc
         if res_norm <= cfg.tol_residual and np.linalg.norm(step) <= cfg.tol_step:
-            wall = time.perf_counter() - t0
             return SolveOutcome(
                 coeffs=a,
                 iterations=steps,
                 final_residual_norm=res_norm,
-                wall_time=wall,
-                converged=True,
                 residual_history=tuple(history),
             )
         if steps == cfg.max_iter:
@@ -256,18 +246,8 @@ def two_level_solve(
         raise DimensionError(f"need 1 <= r <= R2, got r={r}, R2={R2}")
     ws = _workspace_for(basis, R2, prob, workspace)
     ops_fine = ws.operators(prob, R2)
-    linear_r, diffusion_r, quadratic_r, _, _ = ws._blocks(r)
-    ops_coarse = RomOperators(
-        dim=r,
-        linear=linear_r,
-        diffusion=diffusion_r,
-        quadratic=quadratic_r,
-        constant=ops_fine.constant[:r],
-        meta=ops_fine.meta,
-    )
-    outcome1 = newton_solve(ops_coarse, _as_guess(guess, r), cfg)
+    outcome1 = newton_solve(ws.restrict(ops_fine, r), _as_guess(guess, r), cfg)
 
-    t0 = time.perf_counter()
     matrix, rhs = rom.two_level_matrix_rhs(ops_fine, outcome1.coeffs)
     try:
         a2 = np.linalg.solve(matrix, rhs)
@@ -275,14 +255,11 @@ def two_level_solve(
         raise SingularLinearSystem(
             f"singular correction system at dimension {R2}"
         ) from exc
-    wall = time.perf_counter() - t0
     res_norm = float(np.linalg.norm(matrix @ a2 - rhs))
     outcome2 = SolveOutcome(
         coeffs=a2,
         iterations=1,
         final_residual_norm=res_norm,
-        wall_time=wall,
-        converged=True,
         residual_history=(res_norm,),
     )
     return outcome1, outcome2

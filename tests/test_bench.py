@@ -132,19 +132,6 @@ class TestRunExperiment:
         assert math.isnan(row.speedup)
         assert all(math.isnan(rec.time_1l_s) for rec in row.records)
 
-    def test_threaded_error_sweep_matches_serial(self, coarse_basis, monkeypatch):
-        cfg = tiny_config()
-        monkeypatch.delenv("ROM2L_THREADS", raising=False)
-        serial = run_experiment(cfg, basis=coarse_basis)
-        monkeypatch.setenv("ROM2L_THREADS", "2")
-        threaded = run_experiment(cfg, basis=coarse_basis)
-        assert threaded.metadata["threads"] == 2
-        for rec_s, rec_t in zip(serial.rows[0].records, threaded.rows[0].records):
-            assert rec_s.q == rec_t.q
-            assert rec_s.err_1l == rec_t.err_1l  # bitwise equal
-            assert rec_s.err_2l == rec_t.err_2l
-            assert rec_s.iters_1l == rec_t.iters_1l
-
     def test_out_path_emission(self, coarse_basis, tmp_path):
         out = tmp_path / "report.csv"
         cfg = tiny_config(q_start=0.0, q_end=0.0, out_path=str(out))

@@ -128,6 +128,17 @@ class TestExperiments:
         assert report.rows[0].guess == "avg"
         assert report.metadata["basis_rank"] == 16
 
+    def test_upper_case_extension_picks_the_format(self, basis_file, tmp_path):
+        out = tmp_path / "r.JSON"
+        rc = cli_main(
+            ["exp1", "--pairs", "4:8", "--guess", "avg", "--basis", basis_file,
+             "--out", str(out)]
+            + COARSE
+            + SWEEP
+        )
+        assert rc == 0
+        assert load_report(out).rows[0].guess == "avg"
+
     def test_multiple_pairs_make_multiple_rows(self, basis_file, capsys):
         rc = cli_main(
             ["exp1", "--pairs", "4:8", "6:10", "--guess", "avg",

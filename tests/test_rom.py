@@ -8,9 +8,15 @@ entry.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rom2l
 from rom2l import fem
 from rom2l.errors import DimensionError
 from rom2l.manufactured import forcing_f, with_parameter
@@ -254,6 +260,58 @@ class TestWorkspace:
         assert ws.forcing_values(prob) is ws.forcing_values(prob)
         other = ws.forcing_values(with_parameter(default_problem, -0.5))
         assert other is not ws.forcing_values(prob)
+
+    def test_restrict_shares_the_cached_blocks(self, coarse_basis, default_problem):
+        ws = RomWorkspace(coarse_basis, 8, default_problem.nu)
+        prob = with_parameter(default_problem, 0.5)
+        coarse = ws.restrict(ws.operators(prob, 8), 5)
+        direct = ws.operators(prob, 5)
+        assert coarse.dim == 5
+        assert coarse.linear is direct.linear
+        assert coarse.quadratic is direct.quadratic
+        np.testing.assert_allclose(
+            coarse.constant,
+            direct.constant,
+            rtol=0,
+            atol=1e-15 * np.max(np.abs(direct.constant)),
+        )
+
+    def test_restrict_dimension_bound(self, coarse_basis, default_problem):
+        ws = RomWorkspace(coarse_basis, 8, default_problem.nu)
+        ops = ws.operators(default_problem, 5)
+        with pytest.raises(DimensionError):
+            ws.restrict(ops, 6)
+
+    def test_fingerprint_is_stable_across_processes(self):
+        # bytes hashing with the built-in hash() is salted per process;
+        # two different seeds must still give the same fingerprint.
+        script = (
+            "from rom2l import BurgersProblem, build_mesh, compute_pod, "
+            "generate_snapshots, parameter_grid\n"
+            "from rom2l.rom import RomWorkspace\n"
+            "prob = BurgersProblem()\n"
+            "mesh = build_mesh(-4.0, 4.0, 0.5)\n"
+            "snaps = generate_snapshots(prob, parameter_grid(-4.0, 4.0, 1.0), mesh)\n"
+            "print(RomWorkspace(compute_pod(snaps), 2, prob.nu).fingerprint)\n"
+        )
+        src = str(Path(rom2l.__file__).resolve().parents[1])
+        prints = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+                check=True,
+            )
+            prints.append(proc.stdout.strip())
+        assert prints[0] == prints[1]
+        assert "sha256=" in prints[0]
 
     def test_viscosity_mismatch_is_rejected(self, coarse_basis, default_problem):
         ws = RomWorkspace(coarse_basis, 4, 2.0)

@@ -57,7 +57,6 @@ class TestNewtonSolve:
         ops = toy_ops(matrix, np.zeros((3, 3, 3)), rng.standard_normal(3))
         out = newton_solve(ops, rng.standard_normal(3))
         assert out.iterations == 1
-        assert out.converged
         assert out.final_residual_norm <= 1e-10
         np.testing.assert_allclose(
             out.coeffs, np.linalg.solve(matrix, -ops.constant), atol=1e-12
@@ -152,7 +151,6 @@ class TestOneLevelSolve:
     def test_residual_is_driven_down(self, coarse_basis, default_problem):
         out = one_level_solve(coarse_basis, 8, default_problem, "avg")
         assert out.final_residual_norm <= 1e-10
-        assert out.converged
 
     def test_deterministic(self, coarse_basis, default_problem):
         prob = with_parameter(default_problem, 0.7)
@@ -164,16 +162,23 @@ class TestOneLevelSolve:
     def test_explicit_vector_guess(self, coarse_basis, default_problem, rng):
         a0 = rng.standard_normal(6) * 0.1
         out = one_level_solve(coarse_basis, 6, default_problem, a0)
-        assert out.converged
         with pytest.raises(DimensionError):
             one_level_solve(coarse_basis, 6, default_problem, np.zeros(5))
 
-    def test_workspace_reuse_changes_nothing(self, coarse_basis, default_problem):
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda basis, prob, **kw: one_level_solve(basis, 8, prob, "avg", **kw),
+            lambda basis, prob, **kw: two_level_solve(basis, 4, 8, prob, "avg", **kw)[1],
+        ],
+        ids=["1L", "2L"],
+    )
+    def test_workspace_reuse_changes_nothing(
+        self, coarse_basis, default_problem, solve
+    ):
         ws = RomWorkspace(coarse_basis, 8, default_problem.nu)
-        direct = one_level_solve(coarse_basis, 8, default_problem, "avg")
-        shared = one_level_solve(
-            coarse_basis, 8, default_problem, "avg", workspace=ws
-        )
+        direct = solve(coarse_basis, default_problem)
+        shared = solve(coarse_basis, default_problem, workspace=ws)
         np.testing.assert_array_equal(direct.coeffs, shared.coeffs)
 
     def test_workspace_must_match_basis(
@@ -202,7 +207,6 @@ class TestTwoLevelSolve:
     ):
         stage1, stage2 = two_level_solve(coarse_basis, 4, 10, default_problem, "avg")
         assert stage2.iterations == 1
-        assert stage2.converged
         assert stage1.iterations >= 1
 
     def test_correction_improves_on_the_coarse_stage(
