@@ -9,6 +9,8 @@ The package is organized in layers:
 * :mod:`rom2l.solvers`: Newton solvers (reduced and full-order) and the
   two-level correction step.
 * :mod:`rom2l.bench`: error/timing benchmark harness.
+* :mod:`rom2l.checks`: property checks shared by ``rom2l validate`` and
+  the acceptance suite.
 * :mod:`rom2l.cli`: command line interface.
 """
 

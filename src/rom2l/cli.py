@@ -9,7 +9,8 @@ Four subcommands:
 * ``exp2``: comparison with a larger correction dimension, for one or
   more ``r:R1:R2`` triples.
 * ``validate``: run the built-in property checks (full-order solver
-  convergence study, POD rank, algebraic identities).
+  convergence study, POD rank, algebraic identities), measured by
+  :mod:`rom2l.checks` as in the acceptance suite.
 
 Exit codes: 0 success, 1 solver failures or failed validation checks,
 2 usage error.
@@ -23,10 +24,10 @@ import sys
 
 import numpy as np
 
-from . import fem, rom, solvers
+from . import checks, fem, rom
 from .bench import ExperimentConfig, emit_report, format_report, run_experiment
 from .errors import RomError
-from .manufactured import BurgersProblem, exact_u, with_parameter
+from .manufactured import BurgersProblem, with_parameter
 from .pod import (
     DEFAULT_RANK_TOL,
     compute_pod,
@@ -242,17 +243,7 @@ def _cmd_validate(args) -> int:
     prob = _problem_from(args)
     rng = np.random.default_rng(20240817)
 
-    # Full-order convergence study on a nested family of meshes.
-    errors = {}
-    for n_over in (25, 50, 100, 200):
-        mesh = fem.build_mesh(prob.a, prob.b, 1.0 / n_over)
-        u_h = solvers.fom_solve(mesh, prob)
-        diff = u_h.coeffs - exact_u(prob, mesh.nodes)
-        errors[n_over] = fem.l2_norm(fem.FeFunction(mesh=mesh, coeffs=diff))
-    orders = [
-        np.log2(errors[25] / errors[50]),
-        np.log2(errors[50] / errors[100]),
-    ]
+    orders, finest = checks.fom_convergence(prob)
     _check(
         "full-order convergence",
         min(orders) >= 2.7,
@@ -261,8 +252,8 @@ def _cmd_validate(args) -> int:
     )
     _check(
         "full-order accuracy",
-        errors[200] <= 1e-6,
-        f"L2 error {errors[200]:.3e} at h=1/200 (need <= 1e-6)",
+        finest <= 1e-6,
+        f"L2 error {finest:.3e} at h=1/200 (need <= 1e-6)",
         results,
     )
 
@@ -287,85 +278,42 @@ def _cmd_validate(args) -> int:
             results,
         )
 
-    # Algebraic identities.
-    def random_fe(zero_boundary: bool) -> fem.FeFunction:
-        coeffs = rng.standard_normal(mesh.n_nodes)
-        if zero_boundary:
-            coeffs[0] = coeffs[-1] = 0.0
-        return fem.FeFunction(mesh=mesh, coeffs=coeffs)
-
-    worst_skew = 0.0
-    worst_split = 0.0
-    for _ in range(100):
-        u, v = random_fe(False), random_fe(False)
-        scale = abs(fem.trilinear_b(u, v, v)) + 1.0
-        worst_skew = max(worst_skew, abs(fem.trilinear_b_skew(u, v, v)) / scale)
-        w, ur = random_fe(False), random_fe(False)
-        lhs = fem.trilinear_b(u, u, w)
-        rhs = (
-            fem.trilinear_b(u, ur, w)
-            + fem.trilinear_b(ur, u, w)
-            - fem.trilinear_b(ur, ur, w)
-            + fem.trilinear_b(
-                fem.FeFunction(mesh=mesh, coeffs=u.coeffs - ur.coeffs),
-                fem.FeFunction(mesh=mesh, coeffs=u.coeffs - ur.coeffs),
-                w,
-            )
-        )
-        worst_split = max(worst_split, abs(lhs - rhs) / (abs(lhs) + 1.0))
+    parts, split = checks.convection_defects(mesh, rng)
     _check(
-        "skew form antisymmetry",
-        worst_skew <= 1e-12,
-        f"max relative defect {worst_skew:.2e} over 100 draws",
+        "integration-by-parts identity",
+        parts <= 1e-12,
+        f"max relative defect {parts:.2e} over 100 draws",
         results,
     )
     _check(
         "trilinear splitting identity",
-        worst_split <= 1e-12,
-        f"max relative defect {worst_split:.2e} over 100 draws",
+        split <= 1e-12,
+        f"max relative defect {split:.2e} over 100 draws",
         results,
     )
 
     r_small, r_big = (min(8, basis.rank), basis.rank) if basis.rank < 25 else (18, 25)
     prob_q = with_parameter(prob, 0.37)
     ops = rom.assemble_operators(basis, r_big, prob_q)
-    a_pad = np.zeros(r_big)
-    a_pad[:r_small] = rng.standard_normal(r_small)
-    matrix, _ = rom.two_level_matrix_rhs(ops, a_pad[:r_small])
-    jac = rom.jacobian(ops, a_pad)
-    defect = np.max(np.abs(matrix - jac)) / np.max(np.abs(jac))
+    telescoping = checks.telescoping_defect(ops, rng.standard_normal(r_small))
     _check(
-        "correction matrix equals Jacobian",
-        defect <= 1e-13,
-        f"relative defect {defect:.2e}",
+        "correction telescoping identity",
+        telescoping <= 1e-12,
+        f"relative defect {telescoping:.2e}",
         results,
     )
-
-    ops_small = rom.assemble_operators(basis, r_small, prob_q)
-    nest = max(
-        np.max(np.abs(ops_small.linear - ops.linear[:r_small, :r_small]))
-        / np.max(np.abs(ops.linear)),
-        np.max(
-            np.abs(
-                ops_small.quadratic - ops.quadratic[:r_small, :r_small, :r_small]
-            )
-        )
-        / np.max(np.abs(ops.quadratic)),
-    )
+    nest = checks.nesting_defect(rom.assemble_operators(basis, r_small, prob_q), ops)
     _check(
         "nested operator blocks",
         nest <= 1e-13,
         f"relative defect {nest:.2e}",
         results,
     )
-
-    out1 = solvers.one_level_solve(basis, r_big, prob_q, "avg")
-    stage1, stage2 = solvers.two_level_solve(basis, r_big, r_big, prob_q, "avg")
-    fp = np.linalg.norm(stage2.coeffs - out1.coeffs) / np.linalg.norm(out1.coeffs)
+    fp, coarse_iterations = checks.degenerate_fixed_point(basis, r_big, prob_q)
     _check(
         "degenerate fixed point",
         fp <= 1e-8,
-        f"relative distance {fp:.2e} (stage-1 iterations {stage1.iterations})",
+        f"relative distance {fp:.2e} (stage-1 iterations {coarse_iterations})",
         results,
     )
 

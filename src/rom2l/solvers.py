@@ -109,37 +109,54 @@ def newton_solve(
         raise DimensionError(
             f"start vector has shape {a.shape}, operators have dimension {ops.dim}"
         )
+    return _newton(
+        a,
+        lambda a: (rom.residual(ops, a), rom.jacobian(ops, a)),
+        np.linalg.solve,
+        slice(None),
+        cfg,
+        "",
+    )
+
+
+def _newton(x, linearize, solve, free, cfg: NewtonConfig, what: str) -> SolveOutcome:
+    """Newton iteration shared by the reduced and full-order solvers.
+
+    ``linearize(x)`` returns the residual and the Jacobian at ``x``,
+    ``solve(J, res)`` the Newton step, which updates ``x[free]``.
+    ``what`` qualifies the Jacobian and convergence in error messages.
+    """
     history: list[float] = []
     for steps in range(cfg.max_iter + 1):
-        res = rom.residual(ops, a)
+        res, jac = linearize(x)
         res_norm = float(np.linalg.norm(res))
         history.append(res_norm)
         if not np.isfinite(res_norm):
             raise NoConvergence(
-                f"residual went non-finite after {steps} steps", a, res_norm
+                f"residual went non-finite after {steps} steps", x, res_norm
             )
-        jac = rom.jacobian(ops, a)
         try:
-            step = np.linalg.solve(jac, res)
+            step = solve(jac, res)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(
-                f"singular Jacobian at iteration {steps}"
+                f"singular {what}Jacobian at iteration {steps}"
             ) from exc
         if res_norm <= cfg.tol_residual and np.linalg.norm(step) <= cfg.tol_step:
             return SolveOutcome(
-                coeffs=a,
+                coeffs=x,
                 iterations=steps,
                 final_residual_norm=res_norm,
                 residual_history=tuple(history),
             )
         if steps == cfg.max_iter:
             raise NoConvergence(
-                f"no convergence in {cfg.max_iter} steps "
+                f"no {what}convergence in {cfg.max_iter} steps "
                 f"(residual norm {res_norm:.3e})",
-                a,
+                x,
                 res_norm,
             )
-        a = a - step
+        x = x.copy()
+        x[free] -= step
     raise AssertionError("unreachable")
 
 
@@ -323,28 +340,12 @@ def fom_solve(
         mesh.b - mesh.a
     )
     u = u.astype(float)
-    for steps in range(cfg.max_iter + 1):
-        res, band = _fom_residual_jacobian(mesh, prob, u, f_quad)
-        res_norm = float(np.linalg.norm(res))
-        if not np.isfinite(res_norm):
-            raise NoConvergence(
-                f"residual went non-finite after {steps} steps", u, res_norm
-            )
-        try:
-            step = sla.solve_banded((2, 2), band, res)
-        except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
-            raise SingularJacobian(
-                f"singular full-order Jacobian at iteration {steps}"
-            ) from exc
-        if res_norm <= cfg.tol_residual and np.linalg.norm(step) <= cfg.tol_step:
-            return FeFunction(mesh=mesh, coeffs=u)
-        if steps == cfg.max_iter:
-            raise NoConvergence(
-                f"no full-order convergence in {cfg.max_iter} steps "
-                f"(residual norm {res_norm:.3e})",
-                u,
-                res_norm,
-            )
-        u = u.copy()
-        u[1:-1] -= step
-    raise AssertionError("unreachable")
+    outcome = _newton(
+        u,
+        lambda u: _fom_residual_jacobian(mesh, prob, u, f_quad),
+        lambda band, res: sla.solve_banded((2, 2), band, res),
+        slice(1, -1),
+        cfg,
+        "full-order ",
+    )
+    return FeFunction(mesh=mesh, coeffs=outcome.coeffs)

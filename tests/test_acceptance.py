@@ -19,8 +19,15 @@ from dataclasses import replace
 import numpy as np
 
 from rom2l.bench import build_basis, run_experiment
+from rom2l.checks import (
+    convection_defects,
+    degenerate_fixed_point,
+    fom_convergence,
+    nesting_defect,
+    telescoping_defect,
+)
 from rom2l.errors import NoConvergence, SingularJacobian
-from rom2l.fem import FeFunction, build_mesh, l2_norm, trilinear_b, trilinear_b_skew
+from rom2l.fem import FeFunction, l2_norm
 from rom2l.manufactured import exact_u, with_parameter
 from rom2l.pod import lift
 from rom2l.rom import (
@@ -30,7 +37,7 @@ from rom2l.rom import (
     residual,
     two_level_matrix_rhs,
 )
-from rom2l.solvers import fom_solve, one_level_solve, two_level_solve
+from rom2l.solvers import one_level_solve
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -58,28 +65,8 @@ def test_01_offline_stage_retains_rank_30(reference_config):
 def test_02_algebraic_identities(reference_basis, default_problem):
     """Structural identities of the convection form and the correction step."""
     t0 = time.perf_counter()
-    mesh = reference_basis.mesh
     rng = np.random.default_rng(20260819)
-
-    def draw():
-        return FeFunction(mesh=mesh, coeffs=rng.standard_normal(mesh.n_nodes))
-
-    worst_skew = worst_split = 0.0
-    for _ in range(100):
-        u, v, w, ur = draw(), draw(), draw(), draw()
-        worst_skew = max(
-            worst_skew,
-            abs(trilinear_b_skew(u, v, v)) / (abs(trilinear_b(u, v, v)) + 1.0),
-        )
-        lhs = trilinear_b(u, u, w)
-        diff = FeFunction(mesh=mesh, coeffs=u.coeffs - ur.coeffs)
-        rhs = (
-            trilinear_b(u, ur, w)
-            + trilinear_b(ur, u, w)
-            - trilinear_b(ur, ur, w)
-            + trilinear_b(diff, diff, w)
-        )
-        worst_split = max(worst_split, abs(lhs - rhs) / (abs(lhs) + 1.0))
+    worst_parts, worst_split = convection_defects(reference_basis.mesh, rng)
 
     # Correction matrix: linearization about the zero-padded coarse vector.
     prob_q = with_parameter(default_problem, 0.37)
@@ -122,34 +109,17 @@ def test_02_algebraic_identities(reference_basis, default_problem):
     )
     # Telescoping: applying the correction system at the padded vector
     # itself reproduces the nonlinear residual there.
-    fp_defect = np.max(
-        np.abs(matrix @ padded - rhs_vec - residual(ops, padded))
-    ) / np.max(np.abs(ops.constant))
+    fp_defect = telescoping_defect(ops, a_r)
 
     # Nested blocks: the small-dimension operators are leading blocks.
-    ops_small = assemble_operators(reference_basis, small_r, prob_q)
-    nest = max(
-        np.max(np.abs(ops_small.linear - ops.linear[:small_r, :small_r]))
-        / np.max(np.abs(ops.linear)),
-        np.max(
-            np.abs(
-                ops_small.quadratic
-                - ops.quadratic[:small_r, :small_r, :small_r]
-            )
-        )
-        / np.max(np.abs(ops.quadratic)),
-    )
+    nest = nesting_defect(assemble_operators(reference_basis, small_r, prob_q), ops)
 
     # Degenerate two-level solve reproduces the one-level solution.
-    one = one_level_solve(reference_basis, 23, prob_q, "avg")
-    _, stage2 = two_level_solve(reference_basis, 23, 23, prob_q, "avg")
-    fixed_point = np.linalg.norm(stage2.coeffs - one.coeffs) / np.linalg.norm(
-        one.coeffs
-    )
+    fixed_point, _ = degenerate_fixed_point(reference_basis, 23, prob_q)
     elapsed = time.perf_counter() - t0
 
     ok = (
-        worst_skew <= 1e-12
+        worst_parts <= 1e-12
         and worst_split <= 1e-12
         and jac_defect <= 1e-13
         and matrix_defect <= 1e-13
@@ -162,7 +132,7 @@ def test_02_algebraic_identities(reference_basis, default_problem):
     _report(
         "algebraic identities",
         ok,
-        f"skew {worst_skew:.1e}, splitting {worst_split:.1e}, "
+        f"integration by parts {worst_parts:.1e}, splitting {worst_split:.1e}, "
         f"correction-vs-Jacobian {jac_defect:.1e}, oracle {matrix_defect:.1e}/"
         f"{rhs_defect:.1e}, telescoping {fp_defect:.1e}, nesting {nest:.1e}, "
         f"degenerate fixed point {fixed_point:.1e} ({elapsed:.1f}s)",
@@ -172,23 +142,14 @@ def test_02_algebraic_identities(reference_basis, default_problem):
 def test_03_full_order_convergence(default_problem):
     """The quadratic-element solver converges at high order in L2."""
     t0 = time.perf_counter()
-    errors = {}
-    for n_over in (25, 50, 100, 200):
-        mesh = build_mesh(-4.0, 4.0, 1.0 / n_over)
-        u_h = fom_solve(mesh, default_problem)
-        diff = u_h.coeffs - exact_u(default_problem, mesh.nodes)
-        errors[n_over] = l2_norm(FeFunction(mesh=mesh, coeffs=diff))
-    orders = (
-        float(np.log2(errors[25] / errors[50])),
-        float(np.log2(errors[50] / errors[100])),
-    )
+    orders, finest = fom_convergence(default_problem)
     elapsed = time.perf_counter() - t0
-    ok = min(orders) >= 2.7 and errors[200] <= 1e-6 and elapsed < 60.0
+    ok = min(orders) >= 2.7 and finest <= 1e-6 and elapsed < 60.0
     _report(
         "full-order convergence",
         ok,
         f"orders {orders[0]:.2f}, {orders[1]:.2f} (need >= 2.7); "
-        f"error {errors[200]:.2e} at h=1/200 (need <= 1e-6) ({elapsed:.1f}s)",
+        f"error {finest:.2e} at h=1/200 (need <= 1e-6) ({elapsed:.1f}s)",
     )
 
 

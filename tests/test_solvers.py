@@ -114,6 +114,13 @@ class TestNewtonSolve:
         with pytest.raises(SingularJacobian):
             newton_solve(ops, np.array([0.0]))
 
+    def test_overflow_raises_no_convergence(self):
+        ops = toy_ops([[1.0]], [[[1e308]]], [0.0])
+        with np.errstate(over="ignore"), pytest.raises(
+            NoConvergence, match="non-finite"
+        ):
+            newton_solve(ops, np.array([1e10]))
+
     def test_start_vector_length_is_checked(self):
         ops = toy_ops(np.eye(2), np.zeros((2, 2, 2)), np.ones(2))
         with pytest.raises(DimensionError):
@@ -291,3 +298,9 @@ class TestFomSolve:
         with pytest.raises(NoConvergence) as excinfo:
             fom_solve(mesh, default_problem, NewtonConfig(max_iter=1))
         assert excinfo.value.last_iterate.shape == (mesh.n_nodes,)
+
+    def test_non_finite_boundary_data(self):
+        mesh = build_mesh(-4.0, 4.0, 0.25)
+        with pytest.raises(NoConvergence, match="non-finite after 0 steps") as excinfo:
+            fom_solve(mesh, BurgersProblem(alpha=np.nan))
+        assert excinfo.value.last_iterate.shape == (mesh.n_nodes,) == (65,)
