@@ -222,7 +222,7 @@ def _measure(ws, basis, triple, guess, prob_q, cfg) -> QRecord:
     fails, their average wall times.
 
     The error solves are the untimed run before timing: they prime the
-    forcing cache and the operator blocks for the same ``q`` and guess.
+    forcing cache for the same ``q``.
     """
     r, r1, r2 = triple
     mesh = basis.mesh

@@ -16,10 +16,10 @@ with the forcing parameter, which is what makes the online stage cheap.
 
 :class:`RomWorkspace` precomputes the parameter-independent pieces once
 per basis at the largest dimension of interest. The operators of any
-smaller dimension are its leading sub-blocks, cached as contiguous
-copies rather than slice views: ``np.tensordot`` copies a non-contiguous
-operand on every call, which made each Newton iteration measurably
-slower.
+smaller dimension are leading slice views of its arrays, so one
+precomputation serves every dimension without copies. The Jacobian
+contracts ``B`` with ``@``, which passes the strided blocks of a view to
+BLAS as they are; a reshaping contraction would copy them on every call.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "residual",
     "jacobian",
     "two_level_matrix_rhs",
+    "restrict",
     "dump_operators",
 ]
 
@@ -49,11 +50,14 @@ __all__ = [
 class RomOperators:
     """Reduced operators of one problem instance at one dimension.
 
+    ``linear`` and ``quadratic`` from :meth:`RomWorkspace.operators` or
+    :func:`restrict` are views shared with the workspace (and with every
+    other dimension it serves), so they must not be written to.
+
     Attributes:
         dim: reduced dimension R.
-        linear: matrix ``A``, shape (R, R), including the mean couplings.
-        diffusion: the pure viscous part of ``A`` (symmetric positive
-            definite), kept separate for diagnostics.
+        linear: matrix ``A``, shape (R, R), including the viscous term
+            and the mean couplings.
         quadratic: tensor ``B``, shape (R, R, R).
         constant: vector ``b``, shape (R,), for the current forcing.
         meta: provenance tags (viscosity, parameter, basis fingerprint).
@@ -61,7 +65,6 @@ class RomOperators:
 
     dim: int
     linear: np.ndarray = field(repr=False)
-    diffusion: np.ndarray = field(repr=False)
     quadratic: np.ndarray = field(repr=False)
     constant: np.ndarray = field(repr=False)
     meta: dict = field(default_factory=dict)
@@ -82,8 +85,8 @@ class RomWorkspace:
     """Parameter-independent reduced operators, assembled once per basis.
 
     All quantities are stored at dimension ``r_max``; requesting a
-    smaller dimension takes the leading block, so bases are nested by
-    construction.
+    smaller dimension takes a view of the leading block, so bases are
+    nested by construction.
 
     Args:
         basis: the POD basis.
@@ -107,9 +110,8 @@ class RomWorkspace:
         mean_val, mean_der = fem.eval_at_quadrature(mesh, basis.mean.coeffs)
 
         # A = nu * (phi_j', phi_i') + (mean * phi_j' + phi_j * mean', phi_i)
-        self.diffusion = self.nu * (ders.T * wq) @ ders
         self.linear = (
-            self.diffusion
+            self.nu * (ders.T * wq) @ ders
             + (vals.T * (wq * mean_val)) @ ders
             + (vals.T * (wq * mean_der)) @ vals
         )
@@ -126,8 +128,7 @@ class RomWorkspace:
         )
         self.load_map = (vals * wq[:, None]).T  # maps f at quad points to (f, phi_i)
         self.fingerprint = _basis_fingerprint(basis)
-        self._forcing_cache: dict[tuple, np.ndarray] = {}
-        self._slices: dict[int, tuple] = {}
+        self._forcing_cache: dict[BurgersProblem, np.ndarray] = {}
 
     def _dim(self, r: int | None) -> int:
         r = self.r_max if r is None else int(r)
@@ -135,36 +136,20 @@ class RomWorkspace:
             raise DimensionError(f"dimension {r} outside [1, {self.r_max}]")
         return r
 
-    def _blocks(self, r: int) -> tuple:
-        """Leading blocks at dimension ``r``, cached as contiguous arrays."""
-        blocks = self._slices.get(r)
-        if blocks is None:
-            blocks = (
-                np.ascontiguousarray(self.linear[:r, :r]),
-                np.ascontiguousarray(self.diffusion[:r, :r]),
-                np.ascontiguousarray(self.quadratic[:r, :r, :r]),
-                np.ascontiguousarray(self.constant_base[:r]),
-                np.ascontiguousarray(self.load_map[:r]),
-            )
-            self._slices[r] = blocks
-        return blocks
-
     def forcing_values(self, prob: BurgersProblem) -> np.ndarray:
         """Forcing sampled at the quadrature points, cached per problem."""
-        key = (prob.q, prob.nu, prob.k, prob.sigma, prob.alpha, prob.beta)
-        vals = self._forcing_cache.get(key)
+        vals = self._forcing_cache.get(prob)
         if vals is None:
             vals = forcing_f(prob, self.quad_x)
             if len(self._forcing_cache) >= 8:
                 self._forcing_cache.pop(next(iter(self._forcing_cache)))
-            self._forcing_cache[key] = vals
+            self._forcing_cache[prob] = vals
         return vals
 
     def load_vector(self, f_quad_values: np.ndarray, r: int | None = None) -> np.ndarray:
         """Constant vector ``b`` for forcing given by its quadrature values."""
         r = self._dim(r)
-        _, _, _, base, load = self._blocks(r)
-        return base - load @ f_quad_values
+        return self.constant_base[:r] - self.load_map[:r] @ f_quad_values
 
     def operators(self, prob: BurgersProblem, r: int | None = None) -> RomOperators:
         """Reduced operators for one problem instance at dimension ``r``."""
@@ -173,38 +158,12 @@ class RomWorkspace:
                 f"workspace was assembled with nu={self.nu}, problem has {prob.nu}"
             )
         r = self._dim(r)
-        linear, diffusion, quadratic, base, load = self._blocks(r)
-        b = base - load @ self.forcing_values(prob)
         return RomOperators(
             dim=r,
-            linear=linear,
-            diffusion=diffusion,
-            quadratic=quadratic,
-            constant=b,
+            linear=self.linear[:r, :r],
+            quadratic=self.quadratic[:r, :r, :r],
+            constant=self.load_vector(self.forcing_values(prob), r),
             meta={"nu": self.nu, "q": prob.q, "basis": self.fingerprint},
-        )
-
-    def restrict(self, ops: RomOperators, r: int) -> RomOperators:
-        """Leading dimension-``r`` block of operators built by this workspace.
-
-        Shares the cached ``A`` and ``B`` blocks that :meth:`operators`
-        returns at dimension ``r`` and takes ``b`` as the leading part of
-        ``ops.constant``, so no load vector is recomputed.
-
-        Raises:
-            DimensionError: if ``r`` is outside ``[1, ops.dim]``.
-        """
-        if not 1 <= r <= ops.dim:
-            raise DimensionError(f"dimension {r} outside [1, {ops.dim}]")
-        r = self._dim(r)
-        linear, diffusion, quadratic, _, _ = self._blocks(r)
-        return RomOperators(
-            dim=r,
-            linear=linear,
-            diffusion=diffusion,
-            quadratic=quadratic,
-            constant=ops.constant[:r],
-            meta=ops.meta,
         )
 
 
@@ -216,6 +175,26 @@ def assemble_operators(basis: PodBasis, R: int, prob: BurgersProblem) -> RomOper
     :class:`RomWorkspace` once and reuse it.
     """
     return RomWorkspace(basis, R, prob.nu).operators(prob, R)
+
+
+def restrict(ops: RomOperators, r: int) -> RomOperators:
+    """Leading dimension-``r`` block of ``ops``, as views.
+
+    Nested bases make this the operators of the same problem at
+    dimension ``r``; the load vector is sliced, not recomputed.
+
+    Raises:
+        DimensionError: if ``r`` is outside ``[1, ops.dim]``.
+    """
+    if not 1 <= r <= ops.dim:
+        raise DimensionError(f"dimension {r} outside [1, {ops.dim}]")
+    return RomOperators(
+        dim=r,
+        linear=ops.linear[:r, :r],
+        quadratic=ops.quadratic[:r, :r, :r],
+        constant=ops.constant[:r],
+        meta=ops.meta,
+    )
 
 
 def _check_coeffs(ops: RomOperators, a: np.ndarray, name: str = "a") -> np.ndarray:
@@ -236,11 +215,7 @@ def residual(ops: RomOperators, a: np.ndarray) -> np.ndarray:
 def jacobian(ops: RomOperators, a: np.ndarray) -> np.ndarray:
     """Jacobian of the residual: ``A + B(., a, .) + B(., ., a)``."""
     a = _check_coeffs(ops, a)
-    return (
-        ops.linear
-        + np.tensordot(ops.quadratic, a, axes=(1, 0))
-        + np.tensordot(ops.quadratic, a, axes=(2, 0))
-    )
+    return ops.linear + a @ ops.quadratic + ops.quadratic @ a
 
 
 def two_level_matrix_rhs(

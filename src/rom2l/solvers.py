@@ -263,7 +263,7 @@ def two_level_solve(
         raise DimensionError(f"need 1 <= r <= R2, got r={r}, R2={R2}")
     ws = _workspace_for(basis, R2, prob, workspace)
     ops_fine = ws.operators(prob, R2)
-    outcome1 = newton_solve(ws.restrict(ops_fine, r), _as_guess(guess, r), cfg)
+    outcome1 = newton_solve(rom.restrict(ops_fine, r), _as_guess(guess, r), cfg)
 
     matrix, rhs = rom.two_level_matrix_rhs(ops_fine, outcome1.coeffs)
     try:
@@ -298,8 +298,7 @@ def _fom_residual_jacobian(
     res_el = np.einsum(
         "g,eg,gl->el", wg * (2.0 / h), prob.nu * dug, fem.REF_DSHAPE
     ) + np.einsum("g,eg,gl->el", wg, ug * dug - fg, fem.REF_SHAPE)
-    res = np.zeros(mesh.n_nodes)
-    np.add.at(res, conn, res_el)
+    res = np.bincount(conn.ravel(), res_el.ravel(), minlength=mesh.n_nodes)
 
     # Element Jacobians: nu * (w', v') + (w u' + u w', v).
     jac_el = (
@@ -311,13 +310,13 @@ def _fom_residual_jacobian(
     )
     # Scatter into banded storage for the interior block (bandwidth 2).
     n_int = mesh.n_nodes - 2
-    band = np.zeros((5, n_int))
     rows = np.repeat(conn - 1, 3, axis=1)
     cols = np.tile(conn - 1, (1, 3))
     vals = jac_el.reshape(mesh.n_elems, 9)
     keep = (rows >= 0) & (rows < n_int) & (cols >= 0) & (cols < n_int)
-    np.add.at(band, (2 + rows[keep] - cols[keep], cols[keep]), vals[keep])
-    return res[1:-1], band
+    flat = (2 + rows - cols) * n_int + cols  # row-major index into (5, n_int)
+    band = np.bincount(flat[keep], vals[keep], minlength=5 * n_int)
+    return res[1:-1], band.reshape(5, n_int)
 
 
 def fom_solve(

@@ -19,13 +19,15 @@ import pytest
 import rom2l
 from rom2l import fem
 from rom2l.errors import DimensionError
-from rom2l.manufactured import forcing_f, with_parameter
+from rom2l.manufactured import BurgersProblem, forcing_f, with_parameter
 from rom2l.rom import (
+    RomOperators,
     RomWorkspace,
     assemble_operators,
     dump_operators,
     jacobian,
     residual,
+    restrict,
     two_level_matrix_rhs,
 )
 
@@ -46,7 +48,6 @@ def oracle_quadrature(mesh, coeff_columns, f_values, nu, n_points=8):
     dshapes = np.stack([xi - 0.5, -2.0 * xi, xi + 0.5], axis=1)
     n_modes = coeff_columns.shape[1] - 1
     lin = np.zeros((n_modes, n_modes))
-    diff = np.zeros((n_modes, n_modes))
     quad = np.zeros((n_modes, n_modes, n_modes))
     const = np.zeros(n_modes)
     h = mesh.h
@@ -66,7 +67,6 @@ def oracle_quadrature(mesh, coeff_columns, f_values, nu, n_points=8):
             )
             const[i] -= np.sum(w * f_at * phi_v[:, i])
             for j in range(n_modes):
-                diff[i, j] += np.sum(w * nu * phi_d[:, j] * phi_d[:, i])
                 lin[i, j] += np.sum(
                     w
                     * (
@@ -79,7 +79,17 @@ def oracle_quadrature(mesh, coeff_columns, f_values, nu, n_points=8):
                     quad[i, j, k] += np.sum(
                         w * phi_v[:, j] * phi_d[:, k] * phi_v[:, i]
                     )
-    return lin, diff, quad, const
+    return lin, quad, const
+
+
+def central_differences(fun, x, eps=1e-6):
+    """Jacobian of ``fun`` at ``x`` by central differences, column by column."""
+    columns = []
+    for k in range(x.size):
+        e = np.zeros(x.size)
+        e[k] = eps
+        columns.append((fun(x + e) - fun(x - e)) / (2.0 * eps))
+    return np.column_stack(columns)
 
 
 class TestOperatorAssembly:
@@ -96,29 +106,12 @@ class TestOperatorAssembly:
         columns = np.column_stack(
             [coarse_basis.mean.coeffs, coarse_basis.modes[:, :2]]
         )
-        lin, diff, quad, const = oracle_quadrature(
+        lin, quad, const = oracle_quadrature(
             coarse_basis.mesh, columns, poly, prob.nu
         )
         np.testing.assert_allclose(ops.linear, lin, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ops.diffusion, diff, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ops.quadratic, quad, rtol=0, atol=1e-12)
         np.testing.assert_allclose(b_poly, const, rtol=0, atol=1e-12)
-
-    def test_diffusion_block_is_spd(self, coarse_basis, default_problem):
-        ops = assemble_operators(coarse_basis, 6, default_problem)
-        np.testing.assert_allclose(ops.diffusion, ops.diffusion.T, atol=1e-13)
-        assert np.linalg.eigvalsh(ops.diffusion).min() > 0.0
-
-    def test_diffusion_diagonal_is_the_mode_seminorm(
-        self, coarse_basis, default_problem
-    ):
-        ops = assemble_operators(coarse_basis, 3, default_problem)
-        for i in range(3):
-            phi = fem.FeFunction(
-                mesh=coarse_basis.mesh, coeffs=coarse_basis.modes[:, i]
-            )
-            expected = default_problem.nu * fem.h1_seminorm(phi) ** 2
-            assert ops.diffusion[i, i] == pytest.approx(expected, rel=1e-12)
 
     def test_quadratic_tensor_cyclic_identity(self, coarse_basis, default_problem):
         # For zero-boundary modes the product rule gives
@@ -186,14 +179,34 @@ class TestResidualAndJacobian:
         ops = assemble_operators(coarse_basis, 6, prob)
         a = rng.standard_normal(6)
         jac = jacobian(ops, a)
-        eps = 1e-6
-        fd = np.empty_like(jac)
-        for k in range(6):
-            e = np.zeros(6)
-            e[k] = eps
-            fd[:, k] = (residual(ops, a + e) - residual(ops, a - e)) / (2.0 * eps)
+        fd = central_differences(lambda x: residual(ops, x), a)
         defect = np.linalg.norm(jac - fd) / np.linalg.norm(jac)
         assert defect <= 1e-8
+
+    def test_jacobian_of_a_strided_nonsymmetric_tensor(self, rng):
+        # A random B has no symmetry in its last two slots, so each of the
+        # two contractions must be the right one; as the leading block of
+        # a larger tensor it is a non-contiguous view, like the
+        # workspace's operators below r_max.
+        big = rng.standard_normal((7, 7, 7))
+        view = RomOperators(
+            dim=5,
+            linear=rng.standard_normal((5, 5)),
+            quadratic=big[:5, :5, :5],
+            constant=rng.standard_normal(5),
+        )
+        assert not view.quadratic.flags.c_contiguous
+        copy = RomOperators(
+            dim=5,
+            linear=view.linear,
+            quadratic=np.ascontiguousarray(view.quadratic),
+            constant=view.constant,
+        )
+        a = rng.standard_normal(5)
+        jac = jacobian(view, a)
+        np.testing.assert_array_equal(jac, jacobian(copy, a))
+        fd = central_differences(lambda x: residual(view, x), a)
+        assert np.linalg.norm(jac - fd) / np.linalg.norm(jac) <= 1e-8
 
     def test_taylor_expansion_is_exact(self, coarse_basis, default_problem, rng):
         # The residual is quadratic, so
@@ -245,12 +258,13 @@ class TestTwoLevelSystem:
 
 
 class TestWorkspace:
-    def test_blocks_are_cached(self, coarse_basis, default_problem):
+    def test_operators_are_leading_views(self, coarse_basis, default_problem):
         ws = RomWorkspace(coarse_basis, 8, default_problem.nu)
-        ops1 = ws.operators(default_problem, 5)
-        ops2 = ws.operators(default_problem, 5)
-        assert ops1.linear is ops2.linear
-        assert ops1.quadratic is ops2.quadratic
+        ops = ws.operators(default_problem, 5)
+        assert np.shares_memory(ops.linear, ws.linear)
+        assert np.shares_memory(ops.quadratic, ws.quadratic)
+        np.testing.assert_array_equal(ops.linear, ws.linear[:5, :5])
+        np.testing.assert_array_equal(ops.quadratic, ws.quadratic[:5, :5, :5])
 
     def test_forcing_cache_returns_the_same_array(
         self, coarse_basis, default_problem
@@ -261,26 +275,38 @@ class TestWorkspace:
         other = ws.forcing_values(with_parameter(default_problem, -0.5))
         assert other is not ws.forcing_values(prob)
 
-    def test_restrict_shares_the_cached_blocks(self, coarse_basis, default_problem):
+    def test_forcing_cache_tells_intervals_apart(self, coarse_basis):
+        # The forcing depends on every field of the problem, the interval
+        # included, so problems differing only in ``b`` must not share a
+        # cache entry.
+        ws = RomWorkspace(coarse_basis, 4, 1.0)
+        for prob in (BurgersProblem(q=0.5), BurgersProblem(q=0.5, b=5.0)):
+            np.testing.assert_array_equal(
+                ws.forcing_values(prob), forcing_f(prob, ws.quad_x)
+            )
+
+    def test_restrict_matches_the_direct_operators(
+        self, coarse_basis, default_problem, rng
+    ):
         ws = RomWorkspace(coarse_basis, 8, default_problem.nu)
         prob = with_parameter(default_problem, 0.5)
-        coarse = ws.restrict(ws.operators(prob, 8), 5)
+        coarse = restrict(ws.operators(prob, 8), 5)
         direct = ws.operators(prob, 5)
         assert coarse.dim == 5
-        assert coarse.linear is direct.linear
-        assert coarse.quadratic is direct.quadratic
+        a = rng.standard_normal(5)
         np.testing.assert_allclose(
-            coarse.constant,
-            direct.constant,
+            residual(coarse, a),
+            residual(direct, a),
             rtol=0,
             atol=1e-15 * np.max(np.abs(direct.constant)),
         )
+        np.testing.assert_array_equal(jacobian(coarse, a), jacobian(direct, a))
 
     def test_restrict_dimension_bound(self, coarse_basis, default_problem):
         ws = RomWorkspace(coarse_basis, 8, default_problem.nu)
         ops = ws.operators(default_problem, 5)
         with pytest.raises(DimensionError):
-            ws.restrict(ops, 6)
+            restrict(ops, 6)
 
     def test_fingerprint_is_stable_across_processes(self):
         # bytes hashing with the built-in hash() is salted per process;

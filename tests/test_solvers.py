@@ -10,11 +10,12 @@ from rom2l.errors import (
     NoConvergence,
     SingularJacobian,
 )
-from rom2l.fem import FeFunction, build_mesh, l2_norm
-from rom2l.manufactured import BurgersProblem, exact_u, with_parameter
+from rom2l.fem import FeFunction, build_mesh, l2_norm, quadrature_points
+from rom2l.manufactured import BurgersProblem, exact_u, forcing_f, with_parameter
 from rom2l.rom import RomOperators, RomWorkspace, residual
 from rom2l.solvers import (
     NewtonConfig,
+    _fom_residual_jacobian,
     fom_solve,
     make_guess,
     newton_solve,
@@ -29,7 +30,6 @@ def toy_ops(linear, quadratic, constant):
     return RomOperators(
         dim=dim,
         linear=linear,
-        diffusion=np.eye(dim),
         quadratic=np.asarray(quadratic, dtype=float).reshape(dim, dim, dim),
         constant=np.asarray(constant, dtype=float).reshape(dim),
     )
@@ -271,6 +271,30 @@ class TestFomSolve:
         )
         assert err < 1e-4
         assert err > 1e-9  # sanity: the discrete solve is not exact
+
+    def test_banded_jacobian_matches_central_differences(self, default_problem, rng):
+        # The interior residual is quadratic in the nodal values, so central
+        # differences are exact up to rounding; entries outside the five
+        # stored diagonals must come out as zero.
+        mesh = build_mesh(-4.0, 4.0, 0.25)
+        prob = with_parameter(default_problem, 0.3)
+        f_quad = forcing_f(prob, quadrature_points(mesh)[0])
+        u = exact_u(prob, mesh.nodes) + 0.1 * rng.standard_normal(mesh.n_nodes)
+        _, band = _fom_residual_jacobian(mesh, prob, u, f_quad)
+        n = mesh.n_nodes - 2
+        dense = np.zeros((n, n))
+        for offset in range(-2, 3):  # band[2 + i - j, j] holds J[i, j]
+            j = np.arange(max(0, offset), min(n, n + offset))
+            dense[j - offset, j] = band[2 - offset, j]
+        eps = 1e-6
+        fd = np.empty((n, n))
+        for j in range(n):
+            e = np.zeros(mesh.n_nodes)
+            e[j + 1] = eps
+            plus, _ = _fom_residual_jacobian(mesh, prob, u + e, f_quad)
+            minus, _ = _fom_residual_jacobian(mesh, prob, u - e, f_quad)
+            fd[:, j] = (plus - minus) / (2.0 * eps)
+        assert np.linalg.norm(dense - fd) / np.linalg.norm(dense) <= 1e-8
 
     def test_boundary_values_are_exact(self, default_problem):
         mesh = build_mesh(-4.0, 4.0, 0.5)
