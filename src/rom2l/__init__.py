@@ -25,13 +25,13 @@ from .errors import (
     SingularLinearSystem,
 )
 from .fem import (
-    AssembledForms,
     FeFunction,
     Mesh1D,
-    assemble_mass_stiffness,
     build_mesh,
     evaluate,
     h1_seminorm,
+    interior_band,
+    interior_load,
     interpolate,
     l2_norm,
     trilinear_b,

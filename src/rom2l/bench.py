@@ -115,8 +115,6 @@ class ExperimentConfig:
         rank_tol: relative singular value cutoff for the POD.
         inner_product: POD inner product, ``"mass"`` or ``"euclidean"``.
         newton: Newton stopping rules for every solve.
-        out_path: optional report destination; the extension picks the
-            format (``.json``, ``.md``, anything else means CSV).
     """
 
     problem: BurgersProblem = BurgersProblem()
@@ -130,7 +128,6 @@ class ExperimentConfig:
     rank_tol: float = DEFAULT_RANK_TOL
     inner_product: str = "mass"
     newton: NewtonConfig = NewtonConfig()
-    out_path: str | None = None
 
     def __post_init__(self):
         if self.reps < 1:
@@ -282,8 +279,7 @@ def run_experiment(cfg: ExperimentConfig, basis: PodBasis | None = None) -> Expe
             omitted.
 
     Returns:
-        An :class:`ExperimentReport`; also written to ``cfg.out_path``
-        when that is set.
+        An :class:`ExperimentReport`; :func:`emit_report` writes it.
 
     Raises:
         DimensionError: if a triple exceeds the basis rank.
@@ -351,16 +347,14 @@ def run_experiment(cfg: ExperimentConfig, basis: PodBasis | None = None) -> Expe
         "inner_product": cfg.inner_product,
         "newton": asdict(cfg.newton),
         "basis_rank": basis.rank,
+        "basis": ws.fingerprint,
         "clock": "time.perf_counter",
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    report = ExperimentReport(rows=tuple(rows), metadata=metadata)
-    if cfg.out_path:
-        emit_report(report, cfg.out_path)
-    return report
+    return ExperimentReport(rows=tuple(rows), metadata=metadata)
 
 
 def _format_for_path(path) -> str:

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import fem, rom, solvers
+from . import fem, pod, rom, solvers
 from .manufactured import BurgersProblem, exact_u
 from .pod import PodBasis
 
 __all__ = [
     "fom_convergence",
+    "orthonormality_defect",
     "convection_defects",
     "telescoping_defect",
     "nesting_defect",
@@ -42,6 +43,21 @@ def fom_convergence(prob: BurgersProblem) -> tuple[tuple[float, float], float]:
         float(np.log2(errors[1] / errors[2])),
     )
     return orders, errors[3]
+
+
+def orthonormality_defect(basis: PodBasis) -> float:
+    """Largest entry of ``|Phi^T M Phi - I|`` for the modes ``Phi``.
+
+    ``M`` is the inner product the basis claims: the interior mass band
+    for ``"mass"``, the identity for ``"euclidean"``. Column ``k`` of the
+    Gram matrix is :func:`pod.project` of mode ``k`` lifted, which
+    applies that inner product.
+    """
+    eye = np.eye(basis.rank)
+    gram = np.column_stack(
+        [pod.project(basis, pod.lift(basis, e), basis.rank) for e in eye]
+    )
+    return float(np.max(np.abs(gram - eye)))
 
 
 def convection_defects(

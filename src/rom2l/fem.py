@@ -1,15 +1,19 @@
 """Quadratic Lagrange finite elements on a uniform 1D mesh.
 
 This module provides the full-order discretization layer: mesh
-construction, nodal interpolation, mass/stiffness assembly, discrete
-norms, and the trilinear convection form. Everything is built on a
-3-point Gauss-Legendre rule, which integrates polynomials of degree
-five exactly and is therefore exact for every product of quadratic
-shape functions and their derivatives that appears in the forms below.
+construction, nodal interpolation, evaluation at quadrature points,
+assembly, discrete norms, and the trilinear convection form. Everything
+is built on a 3-point Gauss-Legendre rule, which integrates polynomials
+of degree five exactly and is therefore exact for every product of
+quadratic shape functions and their derivatives that appears below.
 
 Element ``e`` of a mesh with ``n_elems`` elements owns the three global
 nodes ``2e``, ``2e + 1``, ``2e + 2`` (vertex, midside, vertex), so a mesh
 has ``2 * n_elems + 1`` nodes in total.
+
+All assembly goes through :func:`interior_band` and :func:`interior_load`,
+whose coefficients are scalars or values at the quadrature points; the
+matrix comes in the banded layout of ``scipy.linalg.solve_banded``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidMesh, MeshMismatch
 
@@ -30,12 +33,12 @@ __all__ = [
     "REF_DSHAPE",
     "Mesh1D",
     "FeFunction",
-    "AssembledForms",
     "build_mesh",
     "element_connectivity",
     "quadrature_points",
     "eval_at_quadrature",
-    "assemble_mass_stiffness",
+    "interior_band",
+    "interior_load",
     "interpolate",
     "evaluate",
     "l2_norm",
@@ -67,6 +70,19 @@ def _dshape(xi: np.ndarray) -> np.ndarray:
 # points: rows are quadrature points, columns are the three local nodes.
 REF_SHAPE = _shape(REF_POINTS)
 REF_DSHAPE = _dshape(REF_POINTS)
+
+
+# Quadrature-weighted products of test shape l and trial shape m on the
+# reference element, column 3l + m: value-value, value-derivative and
+# derivative-derivative. An element matrix is a coefficient's three
+# values on the element times one of these.
+_W = REF_WEIGHTS[:, None, None]
+_VV = (_W * REF_SHAPE[:, :, None] * REF_SHAPE[:, None, :]).reshape(3, 9)
+_VD = (_W * REF_SHAPE[:, :, None] * REF_DSHAPE[:, None, :]).reshape(3, 9)
+_DD = (_W * REF_DSHAPE[:, :, None] * REF_DSHAPE[:, None, :]).reshape(3, 9)
+# C-ordered transposes: a GEMM against these runs about three times
+# faster than against the transposed views.
+_SHAPE_T, _DSHAPE_T = REF_SHAPE.T.copy(), REF_DSHAPE.T.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,22 +125,6 @@ class FeFunction:
         object.__setattr__(self, "coeffs", coeffs)
 
 
-@dataclass(frozen=True, eq=False)
-class AssembledForms:
-    """Mass and stiffness matrices for a mesh, in CSR format.
-
-    ``mass`` and ``stiffness`` are restricted to the interior nodes
-    (both boundary rows and columns removed); ``mass_full`` and
-    ``stiffness_full`` keep all nodes.
-    """
-
-    mesh: Mesh1D
-    mass: sp.csr_matrix
-    stiffness: sp.csr_matrix
-    mass_full: sp.csr_matrix
-    stiffness_full: sp.csr_matrix
-
-
 def build_mesh(a: float, b: float, h: float) -> Mesh1D:
     """Build a uniform quadratic mesh on ``[a, b]`` with target element size ``h``.
 
@@ -151,9 +151,8 @@ def build_mesh(a: float, b: float, h: float) -> Mesh1D:
 
 
 def element_connectivity(mesh: Mesh1D) -> np.ndarray:
-    """Global node indices per element, shape ``(n_elems, 3)``."""
-    first = 2 * np.arange(mesh.n_elems)
-    return first[:, None] + np.arange(3)[None, :]
+    """Global node indices per element, shape ``(n_elems, 3)``, read-only."""
+    return _scatter_maps(mesh.n_elems)[0].reshape(-1, 3)
 
 
 def quadrature_points(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray]:
@@ -182,68 +181,68 @@ def eval_at_quadrature(mesh: Mesh1D, coeffs: np.ndarray) -> tuple[np.ndarray, np
         ``(3 * n_elems, m)``, matching the ordering of
         :func:`quadrature_points`.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    single = coeffs.ndim == 1
-    c = coeffs[:, None] if single else coeffs
+    c = np.asarray(coeffs, dtype=float)
     if c.shape[0] != mesh.n_nodes:
         raise MeshMismatch(
             f"coefficients have {c.shape[0]} rows, mesh has {mesh.n_nodes} nodes"
         )
-    conn = element_connectivity(mesh)
-    local = c[conn]  # (n_elems, 3, m)
-    vals = np.einsum("gl,elm->egm", REF_SHAPE, local).reshape(-1, c.shape[1])
-    ders = (2.0 / mesh.h) * np.einsum("gl,elm->egm", REF_DSHAPE, local).reshape(
-        -1, c.shape[1]
-    )
-    if single:
-        return vals[:, 0], ders[:, 0]
+    # One (columns * n_elems, 3) block of element coefficients, so each
+    # table product is a single GEMM.
+    columns = c.T.reshape(-1, mesh.n_nodes)
+    local = columns[:, element_connectivity(mesh)].reshape(-1, 3)
+    shape = c.shape[1:] + (-1,)
+    vals = (local @ _SHAPE_T).reshape(shape).T
+    ders = ((2.0 / mesh.h) * (local @ _DSHAPE_T)).reshape(shape).T
     return vals, ders
 
 
-def _assemble(a: float, b: float, n_elems: int):
-    h = (b - a) / n_elems
-    me = 0.5 * h * np.einsum("g,gl,gm->lm", REF_WEIGHTS, REF_SHAPE, REF_SHAPE)
-    ke = (2.0 / h) * np.einsum("g,gl,gm->lm", REF_WEIGHTS, REF_DSHAPE, REF_DSHAPE)
-    conn = 2 * np.arange(n_elems)[:, None] + np.arange(3)[None, :]
-    rows = np.repeat(conn, 3, axis=1).ravel()
-    cols = np.tile(conn, (1, 3)).ravel()
-    n = 2 * n_elems + 1
-    mass_full = sp.csr_matrix(
-        (np.tile(me.ravel(), n_elems), (rows, cols)), shape=(n, n)
-    )
-    stiff_full = sp.csr_matrix(
-        (np.tile(ke.ravel(), n_elems), (rows, cols)), shape=(n, n)
-    )
-    interior = slice(1, n - 1)
-    return (
-        mass_full[interior, interior].tocsr(),
-        stiff_full[interior, interior].tocsr(),
-        mass_full,
-        stiff_full,
-    )
-
-
 @lru_cache(maxsize=16)
-def _assemble_cached(a: float, b: float, n_elems: int):
-    return _assemble(a, b, n_elems)
+def _scatter_maps(n_elems: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Element-to-global index maps, built once per element count: ``nodes``
+    (global node of each load entry), ``keep`` (element matrix entries that
+    couple two interior nodes) and their flat indices in the band."""
+    nodes = (2 * np.arange(n_elems)[:, None] + np.arange(3)).ravel()
+    n_int = 2 * n_elems - 1
+    rows = np.repeat(nodes - 1, 3)
+    cols = np.tile((nodes - 1).reshape(-1, 3), 3).ravel()
+    keep = (rows >= 0) & (rows < n_int) & (cols >= 0) & (cols < n_int)
+    nodes.setflags(write=False)
+    return nodes, keep, ((2 + rows - cols) * n_int + cols)[keep]
 
 
-def assemble_mass_stiffness(mesh: Mesh1D) -> AssembledForms:
-    """Assemble the mass and stiffness matrices of a mesh.
+def _per_element(mesh: Mesh1D, coef) -> np.ndarray:
+    """A scalar or quadrature-point coefficient as ``(n_elems, 3)`` values."""
+    coef = np.broadcast_to(np.asarray(coef, dtype=float), (3 * mesh.n_elems,))
+    return coef.reshape(-1, 3)
 
-    The result is cached on the mesh geometry ``(a, b, n_elems)``, so
-    repeated calls for equivalent meshes are cheap.
+
+def interior_band(mesh: Mesh1D, vv=0.0, vd=0.0, dd=0.0) -> np.ndarray:
+    """Interior matrix of the form ``(vv w + vd w', v) + (dd w', v')``.
+
+    Each coefficient is a scalar or its ``3 * n_elems`` values at
+    :func:`quadrature_points`. Row ``i`` tests with interior shape ``i``,
+    column ``j`` is the trial shape ``w``. The result has the
+    ``(5, n_nodes - 2)`` layout of ``scipy.linalg.solve_banded((2, 2), ...)``:
+    ``band[2 + i - j, j]`` holds entry ``(i, j)``.
     """
-    mass, stiff, mass_full, stiff_full = _assemble_cached(
-        mesh.a, mesh.b, mesh.n_elems
+    element = (
+        (0.5 * mesh.h) * (_per_element(mesh, vv) @ _VV)
+        + _per_element(mesh, vd) @ _VD
+        + (2.0 / mesh.h) * (_per_element(mesh, dd) @ _DD)
     )
-    return AssembledForms(
-        mesh=mesh,
-        mass=mass,
-        stiffness=stiff,
-        mass_full=mass_full,
-        stiffness_full=stiff_full,
-    )
+    _, keep, band_index = _scatter_maps(mesh.n_elems)
+    n_int = mesh.n_nodes - 2
+    band = np.bincount(band_index, element.ravel()[keep], minlength=5 * n_int)
+    return band.reshape(5, n_int)
+
+
+def interior_load(mesh: Mesh1D, v, d) -> np.ndarray:
+    """Interior vector ``(v, phi_i) + (d, phi_i')``, coefficients as in
+    :func:`interior_band`."""
+    v, d = _per_element(mesh, v) * REF_WEIGHTS, _per_element(mesh, d) * REF_WEIGHTS
+    element = (0.5 * mesh.h) * (v @ REF_SHAPE) + d @ REF_DSHAPE
+    nodes, _, _ = _scatter_maps(mesh.n_elems)
+    return np.bincount(nodes, element.ravel(), minlength=mesh.n_nodes)[1:-1]
 
 
 def interpolate(mesh: Mesh1D, f: Callable[[np.ndarray], np.ndarray]) -> FeFunction:
@@ -283,16 +282,21 @@ def evaluate(u: FeFunction, x: np.ndarray) -> np.ndarray:
     return vals[0] if scalar else vals
 
 
+def _integral(mesh: Mesh1D, values: np.ndarray) -> float:
+    """Quadrature sum of values given at :func:`quadrature_points`."""
+    return float(0.5 * mesh.h * np.sum(values.reshape(-1, 3) @ REF_WEIGHTS))
+
+
 def l2_norm(u: FeFunction) -> float:
-    """L2 norm of an FE function, computed through the mass matrix."""
-    forms = assemble_mass_stiffness(u.mesh)
-    return float(np.sqrt(u.coeffs @ (forms.mass_full @ u.coeffs)))
+    """L2 norm of an FE function; the quadrature is exact for its square."""
+    vals, _ = eval_at_quadrature(u.mesh, u.coeffs)
+    return float(np.sqrt(_integral(u.mesh, vals * vals)))
 
 
 def h1_seminorm(u: FeFunction) -> float:
-    """H1 seminorm (L2 norm of the derivative) through the stiffness matrix."""
-    forms = assemble_mass_stiffness(u.mesh)
-    return float(np.sqrt(u.coeffs @ (forms.stiffness_full @ u.coeffs)))
+    """H1 seminorm (L2 norm of the derivative); the quadrature is exact."""
+    _, ders = eval_at_quadrature(u.mesh, u.coeffs)
+    return float(np.sqrt(_integral(u.mesh, ders * ders)))
 
 
 def _check_same_mesh(*funcs: FeFunction) -> Mesh1D:
@@ -313,11 +317,9 @@ def _check_same_mesh(*funcs: FeFunction) -> Mesh1D:
 def trilinear_b(u: FeFunction, v: FeFunction, w: FeFunction) -> float:
     """Convection form ``integral of u * v' * w`` over the interval."""
     mesh = _check_same_mesh(u, v, w)
-    _, wq = quadrature_points(mesh)
-    uv, _ = eval_at_quadrature(mesh, u.coeffs)
-    _, vd = eval_at_quadrature(mesh, v.coeffs)
-    wv, _ = eval_at_quadrature(mesh, w.coeffs)
-    return float(np.sum(wq * uv * vd * wv))
+    coeffs = np.column_stack([u.coeffs, v.coeffs, w.coeffs])
+    vals, ders = eval_at_quadrature(mesh, coeffs)
+    return _integral(mesh, vals[:, 0] * ders[:, 1] * vals[:, 2])
 
 
 def trilinear_b_skew(u: FeFunction, v: FeFunction, w: FeFunction) -> float:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from . import fem
 from .errors import DegenerateSnapshots, DimensionError, MeshMismatch
@@ -123,24 +122,6 @@ def generate_snapshots(
     return SnapshotSet(mesh=mesh, q_values=q_values, matrix=matrix, problem=prob)
 
 
-def _interior_mass_cholesky(mesh: Mesh1D):
-    """Banded upper Cholesky factor of the interior mass matrix.
-
-    Returns the factor in solve_banded layout (3 diagonals, upper) and
-    as a sparse matrix for fast products.
-    """
-    mass = fem.assemble_mass_stiffness(mesh).mass
-    n = mass.shape[0]
-    ab = np.zeros((3, n))
-    for k in range(3):
-        ab[2 - k, k:] = mass.diagonal(k)
-    factor = sla.cholesky_banded(ab)
-    factor_sp = sp.diags(
-        [factor[2 - k, k:] for k in range(3)], offsets=[0, 1, 2], format="csr"
-    )
-    return factor, factor_sp
-
-
 def compute_pod(
     snaps: SnapshotSet,
     inner_product: str = "mass",
@@ -174,8 +155,12 @@ def compute_pod(
         )
     interior = fluct[1:-1, :]
     if inner_product == "mass":
-        factor, factor_sp = _interior_mass_cholesky(mesh)
-        weighted = factor_sp @ interior
+        # Upper Cholesky factor U of the interior mass matrix, M = U^T U;
+        # the SVD runs on U @ interior, built one diagonal of U at a time.
+        factor = sla.cholesky_banded(fem.interior_band(mesh, vv=1.0)[:3])
+        weighted = factor[2, :, None] * interior
+        for k in (1, 2):
+            weighted[:-k] += factor[2 - k, k:, None] * interior[k:]
         left, svals, _ = np.linalg.svd(weighted, full_matrices=False)
         rank = int(np.sum(svals > rank_tol * svals[0]))
         modes_int = sla.solve_banded((0, 2), factor, left[:, :rank])
@@ -214,13 +199,12 @@ def project(basis: PodBasis, u: FeFunction, r: int) -> np.ndarray:
     _check_rank(basis, r)
     if u.mesh.n_nodes != basis.mesh.n_nodes:
         raise MeshMismatch("function and basis live on different meshes")
-    fluct = u.coeffs - basis.mean.coeffs
+    # The modes vanish on the boundary, so only the interior rows count.
+    fluct = u.coeffs[1:-1] - basis.mean.coeffs[1:-1]
     if basis.inner_product == "mass":
-        mass = fem.assemble_mass_stiffness(basis.mesh).mass
-        weighted = np.zeros_like(fluct)
-        weighted[1:-1] = mass @ fluct[1:-1]
-        return basis.modes[:, :r].T @ weighted
-    return basis.modes[:, :r].T @ fluct
+        mass = fem.interior_band(basis.mesh, vv=1.0)
+        fluct = sla.blas.dgbmv(fluct.size, fluct.size, 2, 2, 1.0, mass, fluct)
+    return basis.modes[1:-1, :r].T @ fluct
 
 
 def lift(basis: PodBasis, a: np.ndarray) -> FeFunction:

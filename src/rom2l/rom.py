@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .errors import DimensionError
+from .errors import DimensionError, MeshMismatch
 from .manufactured import BurgersProblem, forcing_f
 from .pod import PodBasis
 
@@ -60,14 +60,12 @@ class RomOperators:
             and the mean couplings.
         quadratic: tensor ``B``, shape (R, R, R).
         constant: vector ``b``, shape (R,), for the current forcing.
-        meta: provenance tags (viscosity, parameter, basis fingerprint).
     """
 
     dim: int
     linear: np.ndarray = field(repr=False)
     quadratic: np.ndarray = field(repr=False)
     constant: np.ndarray = field(repr=False)
-    meta: dict = field(default_factory=dict)
 
 
 def _basis_fingerprint(basis: PodBasis) -> str:
@@ -128,6 +126,7 @@ class RomWorkspace:
         )
         self.load_map = (vals * wq[:, None]).T  # maps f at quad points to (f, phi_i)
         self.fingerprint = _basis_fingerprint(basis)
+        self._ends = (float(basis.mean.coeffs[0]), float(basis.mean.coeffs[-1]))
         self._forcing_cache: dict[BurgersProblem, np.ndarray] = {}
 
     def _dim(self, r: int | None) -> int:
@@ -152,18 +151,35 @@ class RomWorkspace:
         return self.constant_base[:r] - self.load_map[:r] @ f_quad_values
 
     def operators(self, prob: BurgersProblem, r: int | None = None) -> RomOperators:
-        """Reduced operators for one problem instance at dimension ``r``."""
+        """Reduced operators for one problem instance at dimension ``r``.
+
+        Raises:
+            MeshMismatch: if ``prob`` lives on another interval than the
+                basis, or its boundary values differ from the end values
+                of the basis mean, which carries them.
+        """
         if prob.nu != self.nu:
             raise ValueError(
                 f"workspace was assembled with nu={self.nu}, problem has {prob.nu}"
             )
+        mesh = self.basis.mesh
+        if (prob.a, prob.b) != (mesh.a, mesh.b):
+            raise MeshMismatch(
+                f"basis lives on [{mesh.a}, {mesh.b}], problem on [{prob.a}, {prob.b}]"
+            )
+        for name, value, end in zip(
+            ("alpha", "beta"), (prob.alpha, prob.beta), self._ends
+        ):
+            if abs(value - end) > 1e-12 * max(1.0, abs(value)):
+                raise MeshMismatch(
+                    f"problem has {name}={value}, the basis mean has end value {end}"
+                )
         r = self._dim(r)
         return RomOperators(
             dim=r,
             linear=self.linear[:r, :r],
             quadratic=self.quadratic[:r, :r, :r],
             constant=self.load_vector(self.forcing_values(prob), r),
-            meta={"nu": self.nu, "q": prob.q, "basis": self.fingerprint},
         )
 
 
@@ -193,7 +209,6 @@ def restrict(ops: RomOperators, r: int) -> RomOperators:
         linear=ops.linear[:r, :r],
         quadratic=ops.quadratic[:r, :r, :r],
         constant=ops.constant[:r],
-        meta=ops.meta,
     )
 
 

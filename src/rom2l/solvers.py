@@ -285,38 +285,14 @@ def two_level_solve(
 def _fom_residual_jacobian(
     mesh: Mesh1D, prob: BurgersProblem, u_coeffs: np.ndarray, f_quad: np.ndarray
 ):
-    """Interior residual and banded interior Jacobian at a full-order iterate."""
-    h = mesh.h
-    conn = fem.element_connectivity(mesh)
-    local = u_coeffs[conn]  # (n_elems, 3)
-    ug = local @ fem.REF_SHAPE.T  # values at quad points, (n_elems, 3)
-    dug = (2.0 / h) * (local @ fem.REF_DSHAPE.T)
-    wg = 0.5 * h * fem.REF_WEIGHTS
-    fg = f_quad.reshape(mesh.n_elems, 3)
+    """Interior residual and banded interior Jacobian at a full-order iterate.
 
-    # Element residuals: nu * (u', v') + (u u' - f, v) for each local v.
-    res_el = np.einsum(
-        "g,eg,gl->el", wg * (2.0 / h), prob.nu * dug, fem.REF_DSHAPE
-    ) + np.einsum("g,eg,gl->el", wg, ug * dug - fg, fem.REF_SHAPE)
-    res = np.bincount(conn.ravel(), res_el.ravel(), minlength=mesh.n_nodes)
-
-    # Element Jacobians: nu * (w', v') + (w u' + u w', v).
-    jac_el = (
-        prob.nu
-        * (2.0 / h) ** 2
-        * np.einsum("g,gl,gm->lm", wg, fem.REF_DSHAPE, fem.REF_DSHAPE)[None, :, :]
-        + np.einsum("g,eg,gm,gl->elm", wg, dug, fem.REF_SHAPE, fem.REF_SHAPE)
-        + (2.0 / h) * np.einsum("g,eg,gm,gl->elm", wg, ug, fem.REF_DSHAPE, fem.REF_SHAPE)
-    )
-    # Scatter into banded storage for the interior block (bandwidth 2).
-    n_int = mesh.n_nodes - 2
-    rows = np.repeat(conn - 1, 3, axis=1)
-    cols = np.tile(conn - 1, (1, 3))
-    vals = jac_el.reshape(mesh.n_elems, 9)
-    keep = (rows >= 0) & (rows < n_int) & (cols >= 0) & (cols < n_int)
-    flat = (2 + rows - cols) * n_int + cols  # row-major index into (5, n_int)
-    band = np.bincount(flat[keep], vals[keep], minlength=5 * n_int)
-    return res[1:-1], band.reshape(5, n_int)
+    The residual tests ``nu (u', v') + (u u' - f, v)``; its derivative in
+    the direction ``w`` is ``nu (w', v') + (u' w + u w', v)``.
+    """
+    u, du = fem.eval_at_quadrature(mesh, u_coeffs)
+    res = fem.interior_load(mesh, u * du - f_quad, prob.nu * du)
+    return res, fem.interior_band(mesh, vv=du, vd=u, dd=prob.nu)
 
 
 def fom_solve(

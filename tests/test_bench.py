@@ -22,6 +22,7 @@ from rom2l.bench import (
     run_experiment,
 )
 from rom2l.errors import DimensionError
+from rom2l.rom import RomWorkspace
 from rom2l.solvers import NewtonConfig
 
 
@@ -96,6 +97,10 @@ class TestRunExperiment:
         assert md["clock"] == "time.perf_counter"
         assert md["numpy"] == np.__version__
 
+    def test_metadata_carries_the_basis_fingerprint(self, tiny_report, coarse_basis):
+        ws = RomWorkspace(coarse_basis, 8, 1.0)
+        assert tiny_report.metadata["basis"] == ws.fingerprint
+
     def test_row_averages_match_records(self, tiny_report):
         row = tiny_report.rows[0]
         assert row.err_1l == pytest.approx(
@@ -131,14 +136,6 @@ class TestRunExperiment:
         assert math.isnan(row.err_1l)
         assert math.isnan(row.speedup)
         assert all(math.isnan(rec.time_1l_s) for rec in row.records)
-
-    def test_out_path_emission(self, coarse_basis, tmp_path):
-        out = tmp_path / "report.csv"
-        cfg = tiny_config(q_start=0.0, q_end=0.0, out_path=str(out))
-        run_experiment(cfg, basis=coarse_basis)
-        lines = out.read_text().splitlines()
-        assert lines[0] == ",".join(CSV_COLUMNS)
-        assert len(lines) == 2
 
 
 class TestMean:

@@ -63,6 +63,21 @@ class TestUsageErrors:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "problem",
+        [["--a", "-2", "--b", "2"], ["--alpha", "3"]],
+        ids=["interval", "alpha"],
+    )
+    def test_basis_of_another_problem_is_refused(self, basis_file, problem, capsys):
+        rc = cli_main(
+            ["exp1", "--pairs", "4:8", "--guess", "avg", "--basis", basis_file]
+            + COARSE
+            + SWEEP
+            + problem
+        )
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestOffline:
     def test_builds_and_saves_a_basis(self, tmp_path, capsys):

@@ -11,12 +11,13 @@ from rom2l import fem
 from rom2l.errors import InvalidMesh, MeshMismatch
 from rom2l.fem import (
     FeFunction,
-    assemble_mass_stiffness,
     build_mesh,
     element_connectivity,
     eval_at_quadrature,
     evaluate,
     h1_seminorm,
+    interior_band,
+    interior_load,
     interpolate,
     l2_norm,
     quadrature_points,
@@ -27,6 +28,16 @@ from rom2l.fem import (
 
 def fe_from(mesh, coeffs):
     return FeFunction(mesh=mesh, coeffs=np.asarray(coeffs, dtype=float))
+
+
+def band_to_dense(band):
+    """Dense matrix of a ``(5, n)`` band with ``band[2 + i - j, j] = M[i, j]``."""
+    n = band.shape[1]
+    dense = np.zeros((n, n))
+    for d in range(-2, 3):  # d = i - j
+        j = np.arange(max(0, -d), min(n, n - d))
+        dense[j + d, j] = band[2 + d, j]
+    return dense
 
 
 def random_fe(mesh, rng, zero_boundary=False):
@@ -93,19 +104,25 @@ class TestQuadrature:
 
 
 class TestAssembledForms:
+    """The interior band and load, the one assembly path of the FE layer."""
+
     def test_mass_total_is_interval_length(self, coarse_mesh):
-        forms = assemble_mass_stiffness(coarse_mesh)
-        assert forms.mass_full.sum() == pytest.approx(8.0, rel=1e-13)
+        # The shapes sum to one, so their integrals total the interval
+        # length; the two boundary vertex shapes, h / 6 each, are not
+        # interior.
+        total = interior_load(coarse_mesh, 1.0, 0.0).sum()
+        assert total + coarse_mesh.h / 3.0 == pytest.approx(8.0, rel=1e-13)
 
     def test_mass_diagonal_entries(self):
         # Hand-derived element integrals: the midside shape integrates
         # to 8h/15 against itself, the vertex shape to 2h/15 per
         # element, so an interior vertex (two elements) carries 4h/15.
+        # Nodes 1 and 2 are interior nodes 0 and 1.
         h = 0.5
         mesh = build_mesh(0.0, 2.0, h)
-        mass = assemble_mass_stiffness(mesh).mass_full
-        assert mass[1, 1] == pytest.approx(8.0 * h / 15.0, rel=1e-14)
-        assert mass[2, 2] == pytest.approx(4.0 * h / 15.0, rel=1e-14)
+        mass = interior_band(mesh, vv=1.0)
+        assert mass[2, 0] == pytest.approx(8.0 * h / 15.0, rel=1e-14)
+        assert mass[2, 1] == pytest.approx(4.0 * h / 15.0, rel=1e-14)
 
     def test_mass_midside_entry_against_quadrature_oracle(self):
         # Independent oracle: 50-point Gauss-Legendre on the midside
@@ -114,28 +131,55 @@ class TestAssembledForms:
         mesh = build_mesh(0.0, 2.0, h)
         xi, wts = np.polynomial.legendre.leggauss(50)
         oracle = 0.5 * h * np.sum(wts * (1.0 - xi**2) ** 2)
-        mass = assemble_mass_stiffness(mesh).mass_full
-        assert mass[1, 1] == pytest.approx(oracle, rel=1e-14)
+        assert interior_band(mesh, vv=1.0)[2, 0] == pytest.approx(oracle, rel=1e-14)
 
     def test_stiffness_annihilates_linears_in_the_interior(self, coarse_mesh):
-        forms = assemble_mass_stiffness(coarse_mesh)
+        # (u', phi_i') = -(u'', phi_i) for interior shapes: zero for a
+        # linear u, and -2 (1, phi_i) for u = x^2.
         u = interpolate(coarse_mesh, lambda x: 2.0 * x - 1.0)
-        residual = forms.stiffness_full @ u.coeffs
-        assert np.max(np.abs(residual[1:-1])) < 1e-12
-        # boundary rows see the flux and must not vanish
-        assert abs(residual[0]) > 1e-3
+        _, du = eval_at_quadrature(coarse_mesh, u.coeffs)
+        assert np.max(np.abs(interior_load(coarse_mesh, 0, du))) < 1e-12
+        p = interpolate(coarse_mesh, lambda x: x**2)
+        _, dp = eval_at_quadrature(coarse_mesh, p.coeffs)
+        np.testing.assert_allclose(
+            interior_load(coarse_mesh, 0, dp),
+            -2.0 * interior_load(coarse_mesh, 1.0, 0),
+            rtol=1e-12,
+        )
 
     def test_interior_matrices_are_positive_definite(self):
         mesh = build_mesh(0.0, 1.0, 0.125)
-        forms = assemble_mass_stiffness(mesh)
-        for matrix in (forms.mass, forms.stiffness):
-            eigs = np.linalg.eigvalsh(matrix.toarray())
+        for band in (interior_band(mesh, vv=1.0), interior_band(mesh, dd=1.0)):
+            eigs = np.linalg.eigvalsh(band_to_dense(band))
             assert eigs.min() > 0.0
 
-    def test_interior_blocks_match_full_matrices(self, coarse_mesh):
-        forms = assemble_mass_stiffness(coarse_mesh)
-        full = forms.mass_full.toarray()
-        np.testing.assert_array_equal(forms.mass.toarray(), full[1:-1, 1:-1])
+    def test_interior_blocks_match_full_matrices(self, coarse_mesh, rng):
+        # Dense oracle from the shapes at the quadrature points:
+        # V[g, j] = phi_j(x_g), D[g, j] = phi_j'(x_g), for random
+        # coefficients at the quadrature points.
+        V, D = eval_at_quadrature(coarse_mesh, np.eye(coarse_mesh.n_nodes))
+        _, w = quadrature_points(coarse_mesh)
+        vv, vd, dd, v, d = rng.standard_normal((5, w.size))
+        full = (
+            V.T @ ((w * vv)[:, None] * V)
+            + V.T @ ((w * vd)[:, None] * D)
+            + D.T @ ((w * dd)[:, None] * D)
+        )
+        band = interior_band(coarse_mesh, vv=vv, vd=vd, dd=dd)
+        scale = np.max(np.abs(full))
+        np.testing.assert_allclose(
+            band_to_dense(band), full[1:-1, 1:-1], rtol=0, atol=1e-14 * scale
+        )
+        # The corner slots of the layout hold no matrix entry.
+        corners = [band[0, :2], band[1, :1], band[3, -1:], band[4, -2:]]
+        assert not np.any(np.concatenate(corners))
+        load = V.T @ (w * v) + D.T @ (w * d)
+        np.testing.assert_allclose(
+            interior_load(coarse_mesh, v, d),
+            load[1:-1],
+            rtol=0,
+            atol=1e-14 * np.max(np.abs(load)),
+        )
 
 
 class TestInterpolationAndNorms:

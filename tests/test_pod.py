@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from rom2l.checks import orthonormality_defect
 from rom2l.errors import DegenerateSnapshots, DimensionError
-from rom2l.fem import FeFunction, assemble_mass_stiffness, interpolate, l2_norm
+from rom2l.fem import FeFunction, interpolate, l2_norm
 from rom2l.manufactured import exact_u, with_parameter
 from rom2l.pod import (
     SnapshotSet,
@@ -82,11 +85,13 @@ class TestComputePod:
             assert basis.rank == 3
 
     def test_orthonormality(self, coarse_basis):
-        mass = assemble_mass_stiffness(coarse_basis.mesh).mass
-        interior = coarse_basis.modes[1:-1, :]
-        gram = interior.T @ (mass @ interior)
-        defect = np.max(np.abs(gram - np.eye(coarse_basis.rank)))
-        assert defect < 1e-10
+        assert orthonormality_defect(coarse_basis) < 1e-10
+
+    def test_orthonormality_defect_sees_a_scaled_mode(self, coarse_basis):
+        modes = coarse_basis.modes.copy()
+        modes[:, 3] *= 1.01
+        scaled = replace(coarse_basis, modes=modes)
+        assert orthonormality_defect(scaled) == pytest.approx(1.01**2 - 1, rel=1e-6)
 
     def test_euclidean_orthonormality(self, default_problem, coarse_mesh):
         snaps = generate_snapshots(
@@ -95,6 +100,7 @@ class TestComputePod:
         basis = compute_pod(snaps, inner_product="euclidean")
         gram = basis.modes.T @ basis.modes
         assert np.max(np.abs(gram - np.eye(basis.rank))) < 1e-10
+        assert orthonormality_defect(basis) < 1e-10
 
     def test_modes_vanish_at_the_boundary(self, coarse_basis):
         assert np.all(coarse_basis.modes[0, :] == 0.0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 
 import rom2l
 from rom2l import fem
-from rom2l.errors import DimensionError
+from rom2l.errors import DimensionError, MeshMismatch
 from rom2l.manufactured import BurgersProblem, forcing_f, with_parameter
 from rom2l.rom import (
     RomOperators,
@@ -136,13 +137,6 @@ class TestOperatorAssembly:
         np.testing.assert_allclose(
             small.constant, big.constant[:3], rtol=0, atol=1e-13 * scale
         )
-
-    def test_meta_records_provenance(self, coarse_basis, default_problem):
-        prob = with_parameter(default_problem, 1.25)
-        ops = assemble_operators(coarse_basis, 4, prob)
-        assert ops.meta["nu"] == prob.nu
-        assert ops.meta["q"] == 1.25
-        assert isinstance(ops.meta["basis"], str)
 
 
 class TestResidualAndJacobian:
@@ -284,6 +278,23 @@ class TestWorkspace:
             np.testing.assert_array_equal(
                 ws.forcing_values(prob), forcing_f(prob, ws.quad_x)
             )
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"a": -2.0, "b": 2.0}, {"b": 5.0}, {"alpha": 3.0}, {"beta": -1.5}],
+        ids=["interval", "b", "alpha", "beta"],
+    )
+    def test_problem_off_the_basis_is_refused(self, coarse_basis, change):
+        # The basis mean carries the interval and the boundary data, so a
+        # problem that differs in either has no valid reduced model here.
+        ws = RomWorkspace(coarse_basis, 4, 1.0)
+        with pytest.raises(MeshMismatch):
+            ws.operators(replace(coarse_basis.problem, q=0.5, **change), 4)
+
+    def test_boundary_values_match_to_round_off(self, coarse_basis):
+        ws = RomWorkspace(coarse_basis, 4, 1.0)
+        beta = coarse_basis.problem.beta * (1.0 + 1e-14)
+        ws.operators(replace(coarse_basis.problem, q=0.5, beta=beta), 4)
 
     def test_restrict_matches_the_direct_operators(
         self, coarse_basis, default_problem, rng
