@@ -2,8 +2,10 @@
 
 The package is organized in layers:
 
-* :mod:`rom2l.fem`: quadratic finite elements on a uniform 1D mesh.
-* :mod:`rom2l.manufactured`: closed-form solution family and forcing.
+* :mod:`rom2l.fem`: quadratic finite elements on a uniform 1D mesh:
+  banded assembly, the L2 norm and the convection form.
+* :mod:`rom2l.manufactured`: the closed-form solution family
+  (``exact_u``) and its forcing (``forcing_f``).
 * :mod:`rom2l.pod`: snapshot generation and the POD basis.
 * :mod:`rom2l.rom`: Galerkin-reduced operators.
 * :mod:`rom2l.solvers`: Newton solvers (reduced and full-order) and the
@@ -29,18 +31,14 @@ from .fem import (
     Mesh1D,
     build_mesh,
     evaluate,
-    h1_seminorm,
     interior_band,
     interior_load,
     interpolate,
     l2_norm,
     trilinear_b,
-    trilinear_b_skew,
 )
 from .manufactured import (
     BurgersProblem,
-    exact_d2u,
-    exact_du,
     exact_u,
     forcing_f,
     with_parameter,
@@ -62,7 +60,6 @@ from .rom import (
     RomOperators,
     RomWorkspace,
     assemble_operators,
-    dump_operators,
     jacobian,
     residual,
     two_level_matrix_rhs,

@@ -382,20 +382,6 @@ def _row_cells(row: ExperimentRow) -> list:
     ]
 
 
-def _emit_csv(report: ExperimentReport, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in report.rows:
-        writer.writerow(_row_cells(row))
-
-
-def _emit_markdown(report: ExperimentReport, stream) -> None:
-    stream.write("| " + " | ".join(CSV_COLUMNS) + " |\n")
-    stream.write("|" + "|".join(["---"] * len(CSV_COLUMNS)) + "|\n")
-    for row in report.rows:
-        stream.write("| " + " | ".join(str(c) for c in _row_cells(row)) + " |\n")
-
-
 def report_to_dict(report: ExperimentReport) -> dict:
     """JSON-ready dictionary with every row and per-parameter record."""
     return {
@@ -418,34 +404,37 @@ def report_from_dict(data: dict) -> ExperimentReport:
     return ExperimentReport(rows=tuple(rows), metadata=data["metadata"])
 
 
+def format_report(report: ExperimentReport, fmt: str = "markdown") -> str:
+    """Render a report as ``csv``, ``markdown`` or ``json`` text.
+
+    Raises:
+        ValueError: for any other format name.
+    """
+    if fmt == "json":
+        return json.dumps(report_to_dict(report), indent=1) + "\n"
+    if fmt == "csv":
+        stream = io.StringIO()
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(_row_cells(row) for row in report.rows)
+        return stream.getvalue()
+    if fmt == "markdown":
+        rows = [CSV_COLUMNS] + [_row_cells(row) for row in report.rows]
+        lines = ["| " + " | ".join(map(str, cells)) + " |" for cells in rows]
+        lines.insert(1, "|" + "|".join(["---"] * len(CSV_COLUMNS)) + "|")
+        return "\n".join(lines) + "\n"
+    raise ValueError(f"unknown report format {fmt!r}")
+
+
 def emit_report(report: ExperimentReport, path, fmt: str | None = None) -> None:
     """Write a report to ``path`` as ``csv``, ``markdown``, or ``json``.
 
     Without ``fmt`` the extension of ``path`` picks the format, ignoring
     case: ``.json``, ``.md`` or ``.markdown``, anything else means CSV.
     """
-    if fmt is None:
-        fmt = _format_for_path(path)
-    if fmt not in ("csv", "markdown", "json"):
-        raise ValueError(f"unknown report format {fmt!r}")
+    text = format_report(report, fmt or _format_for_path(path))
     with open(path, "w", encoding="utf-8") as fh:
-        if fmt == "csv":
-            _emit_csv(report, fh)
-        elif fmt == "markdown":
-            _emit_markdown(report, fh)
-        else:
-            json.dump(report_to_dict(report), fh, indent=1)
-            fh.write("\n")
-
-
-def format_report(report: ExperimentReport, fmt: str = "markdown") -> str:
-    """Render a report to a string (markdown or csv), for terminal output."""
-    stream = io.StringIO()
-    if fmt == "markdown":
-        _emit_markdown(report, stream)
-    else:
-        _emit_csv(report, stream)
-    return stream.getvalue()
+        fh.write(text)
 
 
 def load_report(path) -> ExperimentReport:

@@ -12,8 +12,8 @@ Four subcommands:
   convergence study, POD orthonormality and rank, algebraic identities),
   measured by :mod:`rom2l.checks` as in the acceptance suite.
 
-Exit codes: 0 success, 1 solver failures or failed validation checks,
-2 usage error.
+Exit codes: 0 success, 1 solver failures, failed validation checks or an
+``error: ...`` message, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,22 +21,22 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from . import checks, fem, rom
-from .bench import ExperimentConfig, emit_report, format_report, run_experiment
+from . import checks, rom
+from .bench import (
+    ExperimentConfig,
+    build_basis,
+    emit_report,
+    format_report,
+    run_experiment,
+)
 from .errors import RomError
 from .manufactured import BurgersProblem, with_parameter
-from .pod import (
-    DEFAULT_RANK_TOL,
-    compute_pod,
-    generate_snapshots,
-    load_basis,
-    parameter_grid,
-    save_basis,
-)
-from .solvers import GUESS_KINDS, NewtonConfig
+from .pod import DEFAULT_RANK_TOL, load_basis, save_basis
+from .solvers import GUESS_KINDS
 
 __all__ = ["cli_main", "script_entry"]
 
@@ -163,16 +163,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _offline_config(args) -> ExperimentConfig:
+    """The problem and offline-stage flags as a configuration whose
+    experiment fields keep their defaults."""
+    try:
+        return ExperimentConfig(
+            problem=_problem_from(args),
+            q_start=args.q_start,
+            q_end=args.q_end,
+            q_step=args.q_step,
+            h=args.h,
+            rank_tol=args.rank_tol,
+            inner_product=args.inner_product,
+        )
+    except ValueError as exc:
+        raise RomError(f"invalid configuration: {exc}") from exc
+
+
 def _cmd_offline(args) -> int:
-    prob = _problem_from(args)
-    mesh = fem.build_mesh(prob.a, prob.b, args.h)
-    q_values = parameter_grid(args.q_start, args.q_end, args.q_step)
-    snaps = generate_snapshots(prob, q_values, mesh)
-    basis = compute_pod(snaps, args.inner_product, args.rank_tol)
+    basis = build_basis(_offline_config(args))
     save_basis(basis, args.out)
     svals = basis.singular_values
     print(
-        f"snapshots: {snaps.n_snapshots} on {mesh.n_nodes} nodes; "
+        f"snapshots: {basis.q_values.size} on {basis.mesh.n_nodes} nodes; "
         f"retained rank: {basis.rank}"
     )
     print(
@@ -184,18 +197,11 @@ def _cmd_offline(args) -> int:
 
 
 def _experiment_config(args, triples) -> ExperimentConfig:
-    return ExperimentConfig(
-        problem=_problem_from(args),
-        q_start=args.q_start,
-        q_end=args.q_end,
-        q_step=args.q_step,
+    return replace(
+        _offline_config(args),
         triples=tuple(triples),
         guesses=tuple(args.guess),
         reps=args.reps,
-        h=args.h,
-        rank_tol=args.rank_tol,
-        inner_product=args.inner_product,
-        newton=NewtonConfig(),
     )
 
 
@@ -240,7 +246,8 @@ def _check(name: str, ok: bool, detail: str, results: list) -> None:
 
 def _cmd_validate(args) -> int:
     results: list[bool] = []
-    prob = _problem_from(args)
+    cfg = _offline_config(args)
+    prob = cfg.problem
     rng = np.random.default_rng(20240817)
 
     orders, finest = checks.fom_convergence(prob)
@@ -257,24 +264,14 @@ def _cmd_validate(args) -> int:
         results,
     )
 
-    if args.basis:
-        basis = load_basis(args.basis)
-        mesh = basis.mesh
-    else:
-        mesh = fem.build_mesh(prob.a, prob.b, args.h)
-        q_values = parameter_grid(args.q_start, args.q_end, args.q_step)
-        snaps = generate_snapshots(prob, q_values, mesh)
-        basis = compute_pod(snaps, args.inner_product, args.rank_tol)
-        default_grid = (
-            args.q_start == -4.0 and args.q_end == 4.0 and args.q_step == 0.01
+    basis = load_basis(args.basis) if args.basis else build_basis(cfg)
+    if not args.basis and cfg == ExperimentConfig():
+        _check(
+            "POD rank",
+            basis.rank == 30,
+            f"retained rank {basis.rank} (expected 30)",
+            results,
         )
-        if default_grid and args.h == 1.0 / 200.0:
-            _check(
-                "POD rank",
-                basis.rank == 30,
-                f"retained rank {basis.rank} (expected 30)",
-                results,
-            )
     defect = checks.orthonormality_defect(basis)
     _check(
         "POD orthonormality",
@@ -284,7 +281,7 @@ def _cmd_validate(args) -> int:
         results,
     )
 
-    parts, split = checks.convection_defects(mesh, rng)
+    parts, split = checks.convection_defects(basis.mesh, rng)
     _check(
         "integration-by-parts identity",
         parts <= 1e-12,
@@ -348,10 +345,7 @@ def cli_main(argv=None) -> int:
         return _cmd_validate(args)
     except SystemExit as exc:  # parser.error inside subcommand handling
         return int(exc.code) if exc.code is not None else 0
-    except RomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,7 @@
 
 This module provides the full-order discretization layer: mesh
 construction, nodal interpolation, evaluation at quadrature points,
-assembly, discrete norms, and the trilinear convection form. Everything
+assembly, the L2 norm, and the trilinear convection form. Everything
 is built on a 3-point Gauss-Legendre rule, which integrates polynomials
 of degree five exactly and is therefore exact for every product of
 quadratic shape functions and their derivatives that appears below.
@@ -42,9 +42,7 @@ __all__ = [
     "interpolate",
     "evaluate",
     "l2_norm",
-    "h1_seminorm",
     "trilinear_b",
-    "trilinear_b_skew",
 ]
 
 # 3-point Gauss-Legendre rule on the reference element [-1, 1].
@@ -293,12 +291,6 @@ def l2_norm(u: FeFunction) -> float:
     return float(np.sqrt(_integral(u.mesh, vals * vals)))
 
 
-def h1_seminorm(u: FeFunction) -> float:
-    """H1 seminorm (L2 norm of the derivative); the quadrature is exact."""
-    _, ders = eval_at_quadrature(u.mesh, u.coeffs)
-    return float(np.sqrt(_integral(u.mesh, ders * ders)))
-
-
 def _check_same_mesh(*funcs: FeFunction) -> Mesh1D:
     mesh = funcs[0].mesh
     for g in funcs[1:]:
@@ -320,12 +312,3 @@ def trilinear_b(u: FeFunction, v: FeFunction, w: FeFunction) -> float:
     coeffs = np.column_stack([u.coeffs, v.coeffs, w.coeffs])
     vals, ders = eval_at_quadrature(mesh, coeffs)
     return _integral(mesh, vals[:, 0] * ders[:, 1] * vals[:, 2])
-
-
-def trilinear_b_skew(u: FeFunction, v: FeFunction, w: FeFunction) -> float:
-    """Skew-symmetrized convection form ``(b(u, v, w) - b(u, w, v)) / 2``.
-
-    Antisymmetric in its last two arguments, so
-    ``trilinear_b_skew(u, v, v) == 0`` for every ``u`` and ``v``.
-    """
-    return 0.5 * (trilinear_b(u, v, w) - trilinear_b(u, w, v))

@@ -8,9 +8,11 @@ The model problem is the steady viscous Burgers equation on an interval
 The solution family is manufactured: we pick ``u`` explicitly as a linear
 profile between the boundary values plus a parametrized bump, a Gaussian
 envelope centered at ``q`` modulating a sine wave, and define ``f`` by
-substituting ``u`` into the left-hand side. Sliding ``q`` across the
-interval yields a one-parameter family of problems whose exact solutions
-are known, which is what the snapshot and benchmark layers sample.
+substituting ``u`` into the left-hand side with its closed-form
+derivatives. Sliding ``q`` across the interval yields a one-parameter
+family of problems whose exact solutions are known, which is what the
+snapshot and benchmark layers sample: :func:`exact_u` for the solution
+and :func:`forcing_f` for the forcing.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ __all__ = [
     "BurgersProblem",
     "with_parameter",
     "exact_u",
-    "exact_du",
-    "exact_d2u",
     "forcing_f",
 ]
 
@@ -90,23 +90,18 @@ def exact_u(prob: BurgersProblem, x: np.ndarray) -> np.ndarray:
     return lin + g * s
 
 
-def exact_du(prob: BurgersProblem, x: np.ndarray) -> np.ndarray:
-    """First derivative of the exact solution."""
-    g, dg, _, s, ds, _ = _parts(prob, x)
-    return (prob.beta - prob.alpha) / (prob.b - prob.a) + dg * s + g * ds
-
-
-def exact_d2u(prob: BurgersProblem, x: np.ndarray) -> np.ndarray:
-    """Second derivative of the exact solution."""
-    g, dg, d2g, s, ds, d2s = _parts(prob, x)
-    return d2g * s + 2.0 * dg * ds + g * d2s
-
-
 def forcing_f(prob: BurgersProblem, x: np.ndarray) -> np.ndarray:
     """Forcing that makes ``exact_u`` solve the equation.
 
     Defined as ``-nu * u'' + u * u'`` evaluated with the closed-form
     derivatives, so the manufactured ``u`` satisfies the strong equation
-    identically.
+    identically. ``u``, ``u'`` and ``u''`` all come from one evaluation
+    of the envelope and the carrier.
     """
-    return -prob.nu * exact_d2u(prob, x) + exact_u(prob, x) * exact_du(prob, x)
+    x = np.asarray(x, dtype=float)
+    g, dg, d2g, s, ds, d2s = _parts(prob, x)
+    lin = prob.alpha + (prob.beta - prob.alpha) * (x - prob.a) / (prob.b - prob.a)
+    u = lin + g * s
+    du = (prob.beta - prob.alpha) / (prob.b - prob.a) + dg * s + g * ds
+    d2u = d2g * s + 2.0 * dg * ds + g * d2s
+    return -prob.nu * d2u + u * du

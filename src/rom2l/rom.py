@@ -42,7 +42,6 @@ __all__ = [
     "jacobian",
     "two_level_matrix_rhs",
     "restrict",
-    "dump_operators",
 ]
 
 
@@ -265,24 +264,3 @@ def two_level_matrix_rhs(
     matrix = jacobian(ops, padded)
     rhs = (ops.quadratic @ padded) @ padded - ops.constant
     return matrix, rhs
-
-
-def dump_operators(ops: RomOperators, prefix) -> None:
-    """Write the operators to CSV files ``<prefix>_{A,B,b}.csv``.
-
-    ``A`` and ``b`` are plain matrices; the tensor ``B`` is written in
-    flat indexed form with columns ``i, j, k, value``.
-    """
-    prefix = str(prefix)
-    np.savetxt(prefix + "_A.csv", ops.linear, fmt="%.17g", delimiter=",")
-    np.savetxt(prefix + "_b.csv", ops.constant[None, :], fmt="%.17g", delimiter=",")
-    idx = np.indices(ops.quadratic.shape).reshape(3, -1).T
-    flat = np.column_stack([idx, ops.quadratic.ravel()])
-    np.savetxt(
-        prefix + "_B.csv",
-        flat,
-        fmt=["%d", "%d", "%d", "%.17g"],
-        delimiter=",",
-        header="i,j,k,value",
-        comments="",
-    )

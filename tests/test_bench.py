@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -172,6 +173,13 @@ class TestReportFormats:
     def test_unknown_format(self, tiny_report, tmp_path):
         with pytest.raises(ValueError):
             emit_report(tiny_report, tmp_path / "x.bin", "xml")
+        assert not (tmp_path / "x.bin").exists()
+        with pytest.raises(ValueError, match="xml"):
+            format_report(tiny_report, "xml")
+
+    def test_format_report_json_round_trips(self, tiny_report):
+        text = format_report(tiny_report, "json")
+        assert report_from_dict(json.loads(text)) == tiny_report
 
     def test_json_round_trip_is_exact(self, tiny_report, tmp_path):
         path = tmp_path / "report.json"

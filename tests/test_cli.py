@@ -78,6 +78,17 @@ class TestUsageErrors:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["offline", "--h", "-1", "--out", "unused.txt"],
+         ["exp1", "--pairs", "4:8", "--q-step", "0"]],
+        ids=["offline-h", "exp1-q-step"],
+    )
+    def test_invalid_configuration_is_reported(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == 1
+        assert "must be positive" in capsys.readouterr().err
+
 
 class TestOffline:
     def test_builds_and_saves_a_basis(self, tmp_path, capsys):
@@ -178,6 +189,15 @@ class TestValidate:
         rc = cli_main(["validate", *COARSE, "--basis", basis_file])
         out = capsys.readouterr().out
         assert rc == 0, out
+        assert "8/8 checks passed" in out
+
+    def test_rank_check_only_on_the_reference_configuration(self, capsys):
+        # The default grid and h with another cutoff retain more than
+        # 30 modes; that is not a failure of the reference rank check.
+        rc = cli_main(["validate", "--rank-tol", "1e-10"])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "POD rank" not in out
         assert "8/8 checks passed" in out
 
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rom2l import fem
 from rom2l.errors import InvalidMesh, MeshMismatch
@@ -15,14 +13,12 @@ from rom2l.fem import (
     element_connectivity,
     eval_at_quadrature,
     evaluate,
-    h1_seminorm,
     interior_band,
     interior_load,
     interpolate,
     l2_norm,
     quadrature_points,
     trilinear_b,
-    trilinear_b_skew,
 )
 
 
@@ -210,11 +206,6 @@ class TestInterpolationAndNorms:
         u = interpolate(mesh, lambda x: np.sin(np.pi * x))
         assert l2_norm(u) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-6)
 
-    def test_h1_seminorm_of_sine(self):
-        mesh = build_mesh(0.0, 1.0, 0.02)
-        u = interpolate(mesh, lambda x: np.sin(np.pi * x))
-        assert h1_seminorm(u) == pytest.approx(np.pi / np.sqrt(2.0), rel=1e-3)
-
     def test_evaluate_at_nodes_returns_coefficients(self, coarse_mesh, rng):
         u = random_fe(coarse_mesh, rng)
         np.testing.assert_allclose(
@@ -248,25 +239,6 @@ class TestTrilinearForm:
         v = interpolate(other, np.sin)
         with pytest.raises(MeshMismatch):
             trilinear_b(u, v, v)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_skew_form_vanishes_on_repeated_argument(self, seed):
-        rng = np.random.default_rng(seed)
-        mesh = build_mesh(0.0, 1.0, 0.25)
-        u, v = random_fe(mesh, rng), random_fe(mesh, rng)
-        scale = abs(trilinear_b(u, v, v)) + 1.0
-        assert abs(trilinear_b_skew(u, v, v)) <= 1e-13 * scale
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_skew_form_is_antisymmetric(self, seed):
-        rng = np.random.default_rng(seed)
-        mesh = build_mesh(0.0, 1.0, 0.25)
-        u, v, w = (random_fe(mesh, rng) for _ in range(3))
-        lhs = trilinear_b_skew(u, v, w)
-        rhs = -trilinear_b_skew(u, w, v)
-        assert lhs == pytest.approx(rhs, abs=1e-12 * (abs(lhs) + 1.0))
 
     def test_splitting_identity(self, coarse_mesh, rng):
         # Bilinearity in the first two slots gives

@@ -9,8 +9,6 @@ from scipy.integrate import simpson
 from rom2l.fem import build_mesh, evaluate, interpolate
 from rom2l.manufactured import (
     BurgersProblem,
-    exact_d2u,
-    exact_du,
     exact_u,
     forcing_f,
     with_parameter,
@@ -56,51 +54,28 @@ class TestSolutionFamily:
             BurgersProblem(a=4.0, b=-4.0)
 
 
-class TestDerivatives:
-    def test_first_derivative_against_finite_differences(self, default_problem):
-        xs = np.linspace(-3.9, 3.9, 41)
-        eps = 1e-6
-        fd = (exact_u(default_problem, xs + eps) - exact_u(default_problem, xs - eps)) / (
-            2.0 * eps
-        )
-        np.testing.assert_allclose(exact_du(default_problem, xs), fd, atol=1e-6)
-
-    def test_second_derivative_against_finite_differences(self, default_problem):
-        xs = np.linspace(-3.9, 3.9, 41)
-        eps = 1e-5
-        fd = (
-            exact_du(default_problem, xs + eps) - exact_du(default_problem, xs - eps)
-        ) / (2.0 * eps)
-        np.testing.assert_allclose(exact_d2u(default_problem, xs), fd, atol=1e-4)
-
-
 class TestForcing:
-    def test_forcing_against_finite_difference_operator(self, default_problem):
+    @pytest.mark.parametrize("nu", [1.0, 2.0])
+    def test_forcing_against_finite_difference_operator(self, nu):
         # Independent check: apply -nu u'' + u u' with centered
         # differences on the closed-form u and compare to forcing_f.
+        # Two viscosities separate the diffusion term from the
+        # convection term, so both derivatives are pinned.
+        prob = BurgersProblem(nu=nu)
         xs = np.linspace(-3.5, 3.5, 29)
         eps = 1e-5
-        u = exact_u(default_problem, xs)
-        du = (exact_u(default_problem, xs + eps) - exact_u(default_problem, xs - eps)) / (
-            2.0 * eps
-        )
-        d2u = (
-            exact_u(default_problem, xs + eps)
-            - 2.0 * u
-            + exact_u(default_problem, xs - eps)
-        ) / eps**2
-        oracle = -default_problem.nu * d2u + u * du
-        np.testing.assert_allclose(forcing_f(default_problem, xs), oracle, atol=1e-4)
+        u = exact_u(prob, xs)
+        du = (exact_u(prob, xs + eps) - exact_u(prob, xs - eps)) / (2.0 * eps)
+        d2u = (exact_u(prob, xs + eps) - 2.0 * u + exact_u(prob, xs - eps)) / eps**2
+        oracle = -nu * d2u + u * du
+        np.testing.assert_allclose(forcing_f(prob, xs), oracle, atol=1e-4)
 
-    def test_forcing_scales_with_viscosity(self, default_problem):
+    def test_forcing_scales_with_viscosity(self):
         # f = -nu u'' + u u' and u does not depend on nu, so the forcing
-        # is affine in nu.
+        # is affine in nu: f(3) - f(2) = f(2) - f(1) = -u''.
         xs = np.linspace(-4.0, 4.0, 17)
-        f1 = forcing_f(default_problem, xs)
-        prob2 = BurgersProblem(nu=2.0)
-        f2 = forcing_f(prob2, xs)
-        d2u = exact_d2u(default_problem, xs)
-        np.testing.assert_allclose(f2 - f1, -1.0 * d2u, atol=1e-12)
+        f1, f2, f3 = (forcing_f(BurgersProblem(nu=nu), xs) for nu in (1.0, 2.0, 3.0))
+        np.testing.assert_allclose(f3 - f2, f2 - f1, atol=1e-12)
 
     def test_far_away_bump_leaves_the_linear_profile(self, default_problem):
         # With the bump centered far outside the interval the solution

@@ -25,7 +25,6 @@ from rom2l.rom import (
     RomOperators,
     RomWorkspace,
     assemble_operators,
-    dump_operators,
     jacobian,
     residual,
     restrict,
@@ -361,18 +360,3 @@ class TestWorkspace:
         ws = RomWorkspace(coarse_basis, 4, default_problem.nu)
         with pytest.raises(DimensionError):
             ws.operators(default_problem, 5)
-
-
-class TestDump:
-    def test_csv_files_round_trip(self, coarse_basis, default_problem, tmp_path):
-        ops = assemble_operators(coarse_basis, 3, default_problem)
-        prefix = tmp_path / "ops"
-        dump_operators(ops, prefix)
-        a_back = np.loadtxt(f"{prefix}_A.csv", delimiter=",")
-        np.testing.assert_array_equal(a_back, ops.linear)
-        b_back = np.loadtxt(f"{prefix}_b.csv", delimiter=",")
-        np.testing.assert_array_equal(b_back, ops.constant)
-        flat = np.loadtxt(f"{prefix}_B.csv", delimiter=",", skiprows=1)
-        assert flat.shape == (27, 4)
-        i, j, k = flat[:, 0].astype(int), flat[:, 1].astype(int), flat[:, 2].astype(int)
-        np.testing.assert_array_equal(ops.quadratic[i, j, k], flat[:, 3])
