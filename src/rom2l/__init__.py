@@ -17,6 +17,7 @@ The package is organized in layers:
 """
 
 from .errors import (
+    BadBasisFile,
     DegenerateSnapshots,
     DimensionError,
     InvalidMesh,
@@ -24,7 +25,6 @@ from .errors import (
     NoConvergence,
     RomError,
     SingularJacobian,
-    SingularLinearSystem,
 )
 from .fem import (
     FeFunction,

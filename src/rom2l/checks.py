@@ -48,10 +48,9 @@ def fom_convergence(prob: BurgersProblem) -> tuple[tuple[float, float], float]:
 def orthonormality_defect(basis: PodBasis) -> float:
     """Largest entry of ``|Phi^T M Phi - I|`` for the modes ``Phi``.
 
-    ``M`` is the inner product the basis claims: the interior mass band
-    for ``"mass"``, the identity for ``"euclidean"``. Column ``k`` of the
-    Gram matrix is :func:`pod.project` of mode ``k`` lifted, which
-    applies that inner product.
+    ``M`` is the interior mass matrix, the inner product the POD modes
+    are orthonormal in. Column ``k`` of the Gram matrix is
+    :func:`pod.project` of mode ``k`` lifted, which applies ``M``.
     """
     eye = np.eye(basis.rank)
     gram = np.column_stack(

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -61,12 +60,6 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=DEFAULT_RANK_TOL,
         help="relative singular value cutoff",
-    )
-    group.add_argument(
-        "--inner-product",
-        choices=("mass", "euclidean"),
-        default="mass",
-        help="POD inner product",
     )
 
 
@@ -163,9 +156,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _offline_config(args) -> ExperimentConfig:
-    """The problem and offline-stage flags as a configuration whose
-    experiment fields keep their defaults."""
+def _offline_config(args, **experiment) -> ExperimentConfig:
+    """The problem and offline-stage flags as a configuration; the
+    experiment fields are the defaults unless given as keywords."""
     try:
         return ExperimentConfig(
             problem=_problem_from(args),
@@ -174,7 +167,7 @@ def _offline_config(args) -> ExperimentConfig:
             q_step=args.q_step,
             h=args.h,
             rank_tol=args.rank_tol,
-            inner_product=args.inner_product,
+            **experiment,
         )
     except ValueError as exc:
         raise RomError(f"invalid configuration: {exc}") from exc
@@ -197,11 +190,8 @@ def _cmd_offline(args) -> int:
 
 
 def _experiment_config(args, triples) -> ExperimentConfig:
-    return replace(
-        _offline_config(args),
-        triples=tuple(triples),
-        guesses=tuple(args.guess),
-        reps=args.reps,
+    return _offline_config(
+        args, triples=tuple(triples), guesses=tuple(args.guess), reps=args.reps
     )
 
 
@@ -276,8 +266,8 @@ def _cmd_validate(args) -> int:
     _check(
         "POD orthonormality",
         defect <= 1e-10,
-        f"max |Phi^T M Phi - I| {defect:.2e} in the {basis.inner_product} "
-        f"inner product, rank {basis.rank}",
+        f"max |Phi^T M Phi - I| {defect:.2e} in the mass inner product, "
+        f"rank {basis.rank}",
         results,
     )
 

@@ -3,7 +3,8 @@
 Every error raised intentionally by this package derives from
 :class:`RomError`, so callers can catch one base class at the boundary
 of the library and let genuine bugs (plain ``ValueError``,
-``ZeroDivisionError``, ...) propagate.
+``ZeroDivisionError``, ...) propagate. :class:`BadBasisFile` is also a
+``ValueError``, as the file it refuses is a bad input value.
 """
 
 from __future__ import annotations
@@ -31,16 +32,19 @@ class DegenerateSnapshots(RomError):
     """
 
 
+class BadBasisFile(RomError, ValueError):
+    """A file is not a readable mass-orthonormal basis written by
+    :func:`rom2l.pod.save_basis`."""
+
+
 class DimensionError(RomError):
     """A reduced dimension is out of range for the object it is used with."""
 
 
 class SingularJacobian(RomError):
-    """The Newton iteration hit a numerically singular Jacobian."""
-
-
-class SingularLinearSystem(RomError):
-    """A one-shot linear solve (no Newton loop involved) is singular."""
+    """A Newton iteration or the two-level correction step, which solves
+    with the Jacobian at the padded coarse solution, hit a numerically
+    singular Jacobian."""
 
 
 class NoConvergence(RomError):
@@ -51,7 +55,7 @@ class NoConvergence(RomError):
 
     Attributes:
         last_iterate: coefficient vector at the final iteration.
-        residual_norm: Euclidean norm of the residual at ``last_iterate``.
+        residual_norm: 2-norm of the residual at ``last_iterate``.
     """
 
     def __init__(self, message: str, last_iterate: np.ndarray, residual_norm: float):

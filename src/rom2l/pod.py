@@ -2,12 +2,11 @@
 
 Snapshots are nodal interpolants of the manufactured solution over a
 grid of bump centers ``q``. The POD extracts, from the mean-centered
-snapshot fluctuations, a basis that is orthonormal either in the
-Euclidean inner product on coefficient vectors or in the mass-weighted
-(discrete L2) inner product on the interior nodes. The mass-weighted
-variant factors the interior mass matrix with a banded Cholesky
-decomposition and runs one dense SVD on the transformed fluctuation
-matrix, then maps the left singular vectors back through the factor.
+snapshot fluctuations, a basis that is orthonormal in the mass-weighted
+(discrete L2) inner product on the interior nodes. It factors the
+interior mass matrix with a banded Cholesky decomposition and runs one
+dense SVD on the transformed fluctuation matrix, then maps the left
+singular vectors back through the factor.
 
 All snapshots share the same boundary values, so the fluctuations
 vanish at the boundary and the retained modes are zero there. Reduced
@@ -24,7 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import fem
-from .errors import DegenerateSnapshots, DimensionError, MeshMismatch
+from .errors import BadBasisFile, DegenerateSnapshots, DimensionError, MeshMismatch
 from .fem import FeFunction, Mesh1D
 from .manufactured import BurgersProblem, exact_u, with_parameter
 
@@ -72,10 +71,10 @@ class PodBasis:
         mesh: the underlying mesh.
         mean: snapshot mean as an FE function (nonzero at the boundary).
         modes: retained modes, shape ``(n_nodes, rank)``, zero at the
-            boundary, orthonormal in ``inner_product``.
+            boundary, orthonormal in the discrete L2 (mass) inner
+            product on the interior nodes.
         singular_values: full singular value spectrum of the fluctuation
             matrix (not truncated at ``rank``).
-        inner_product: ``"mass"`` or ``"euclidean"``.
         q_values: parameter grid the snapshots were drawn from, if known.
         problem: problem template the snapshots came from, if known.
     """
@@ -84,7 +83,6 @@ class PodBasis:
     mean: FeFunction
     modes: np.ndarray = field(repr=False)
     singular_values: np.ndarray = field(repr=False)
-    inner_product: str
     q_values: np.ndarray | None = field(default=None, repr=False)
     problem: BurgersProblem | None = None
 
@@ -122,30 +120,17 @@ def generate_snapshots(
     return SnapshotSet(mesh=mesh, q_values=q_values, matrix=matrix, problem=prob)
 
 
-def compute_pod(
-    snaps: SnapshotSet,
-    inner_product: str = "mass",
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> PodBasis:
-    """Extract a POD basis from a snapshot set.
+def compute_pod(snaps: SnapshotSet, rank_tol: float = DEFAULT_RANK_TOL) -> PodBasis:
+    """Extract a mass-orthonormal POD basis from a snapshot set.
 
     The snapshot mean is subtracted first; the basis spans the dominant
-    fluctuation directions. The retained rank is the number of singular
-    values above ``rank_tol`` times the largest one.
-
-    Args:
-        snaps: the snapshot set.
-        inner_product: ``"mass"`` for the discrete L2 inner product on
-            interior nodes (the default), ``"euclidean"`` for the plain
-            dot product on coefficient vectors.
-        rank_tol: relative singular value cutoff.
+    fluctuation directions in the discrete L2 inner product on the
+    interior nodes. The retained rank is the number of singular values
+    above ``rank_tol`` times the largest one.
 
     Raises:
         DegenerateSnapshots: if every snapshot equals the mean.
-        ValueError: for an unknown inner product tag.
     """
-    if inner_product not in ("mass", "euclidean"):
-        raise ValueError(f"unknown inner product {inner_product!r}")
     mesh = snaps.mesh
     mean = snaps.matrix.mean(axis=1)
     fluct = snaps.matrix - mean[:, None]
@@ -154,20 +139,15 @@ def compute_pod(
             f"all {snaps.n_snapshots} snapshots coincide with their mean"
         )
     interior = fluct[1:-1, :]
-    if inner_product == "mass":
-        # Upper Cholesky factor U of the interior mass matrix, M = U^T U;
-        # the SVD runs on U @ interior, built one diagonal of U at a time.
-        factor = sla.cholesky_banded(fem.interior_band(mesh, vv=1.0)[:3])
-        weighted = factor[2, :, None] * interior
-        for k in (1, 2):
-            weighted[:-k] += factor[2 - k, k:, None] * interior[k:]
-        left, svals, _ = np.linalg.svd(weighted, full_matrices=False)
-        rank = int(np.sum(svals > rank_tol * svals[0]))
-        modes_int = sla.solve_banded((0, 2), factor, left[:, :rank])
-    else:
-        left, svals, _ = np.linalg.svd(interior, full_matrices=False)
-        rank = int(np.sum(svals > rank_tol * svals[0]))
-        modes_int = left[:, :rank]
+    # Upper Cholesky factor U of the interior mass matrix, M = U^T U;
+    # the SVD runs on U @ interior, built one diagonal of U at a time.
+    factor = sla.cholesky_banded(fem.interior_band(mesh, vv=1.0)[:3])
+    weighted = factor[2, :, None] * interior
+    for k in (1, 2):
+        weighted[:-k] += factor[2 - k, k:, None] * interior[k:]
+    left, svals, _ = np.linalg.svd(weighted, full_matrices=False)
+    rank = int(np.sum(svals > rank_tol * svals[0]))
+    modes_int = sla.solve_banded((0, 2), factor, left[:, :rank])
     modes = np.zeros((mesh.n_nodes, rank))
     modes[1:-1, :] = modes_int
     return PodBasis(
@@ -175,7 +155,6 @@ def compute_pod(
         mean=FeFunction(mesh=mesh, coeffs=mean),
         modes=modes,
         singular_values=svals,
-        inner_product=inner_product,
         q_values=snaps.q_values,
         problem=snaps.problem,
     )
@@ -191,8 +170,8 @@ def _check_rank(basis: PodBasis, r: int) -> None:
 def project(basis: PodBasis, u: FeFunction, r: int) -> np.ndarray:
     """Reduced coefficients of ``u`` in the leading ``r`` modes.
 
-    The mean is subtracted before projecting, and the projection uses the
-    same inner product the basis is orthonormal in, so
+    The mean is subtracted before projecting, and the projection is in
+    the mass inner product the basis is orthonormal in, so
     ``project(basis, lift(basis, a), r)`` recovers ``a`` exactly for any
     ``a`` of length ``r``.
     """
@@ -201,9 +180,8 @@ def project(basis: PodBasis, u: FeFunction, r: int) -> np.ndarray:
         raise MeshMismatch("function and basis live on different meshes")
     # The modes vanish on the boundary, so only the interior rows count.
     fluct = u.coeffs[1:-1] - basis.mean.coeffs[1:-1]
-    if basis.inner_product == "mass":
-        mass = fem.interior_band(basis.mesh, vv=1.0)
-        fluct = sla.blas.dgbmv(fluct.size, fluct.size, 2, 2, 1.0, mass, fluct)
+    mass = fem.interior_band(basis.mesh, vv=1.0)
+    fluct = sla.blas.dgbmv(fluct.size, fluct.size, 2, 2, 1.0, mass, fluct)
     return basis.modes[1:-1, :r].T @ fluct
 
 
@@ -227,16 +205,16 @@ def save_basis(basis: PodBasis, path) -> None:
     """Write a basis to a text file.
 
     Line one is a JSON header with the mesh descriptor, parameter grid,
-    inner product tag, singular values, and problem template; the rest is
-    a CSV matrix with one row per node holding the mean followed by the
-    modes. Floats are written with 17 significant digits, which
-    round-trips IEEE doubles exactly.
+    inner product tag (always ``"mass"``), singular values, and problem
+    template; the rest is a CSV matrix with one row per node holding the
+    mean followed by the modes. Floats are written with 17 significant
+    digits, which round-trips IEEE doubles exactly.
     """
     header = {
         "format": "rom2l-basis",
         "version": 1,
         "mesh": {"a": basis.mesh.a, "b": basis.mesh.b, "n_elems": basis.mesh.n_elems},
-        "inner_product": basis.inner_product,
+        "inner_product": "mass",
         "rank": basis.rank,
         "singular_values": [float(s) for s in basis.singular_values],
         "q_values": None
@@ -266,14 +244,36 @@ def save_basis(basis: PodBasis, path) -> None:
 
 
 def load_basis(path) -> PodBasis:
-    """Read a basis written by :func:`save_basis`."""
+    """Read a basis written by :func:`save_basis`.
+
+    Raises:
+        BadBasisFile: if the file has no basis header, its header or
+            matrix is malformed, its matrix does not match the header, or
+            its inner product tag is not ``"mass"``: :func:`project` would
+            return wrong coefficients for modes orthonormal in another
+            inner product.
+    """
+    try:
+        return _read_basis(path)
+    except BadBasisFile:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadBasisFile(f"{path}: malformed basis file: {exc!r}") from exc
+
+
+def _read_basis(path) -> PodBasis:
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first.startswith("# "):
-            raise ValueError(f"{path}: missing basis header line")
+            raise BadBasisFile(f"{path}: missing basis header line")
         header = json.loads(first[2:])
-        if header.get("format") != "rom2l-basis":
-            raise ValueError(f"{path}: not a basis file")
+        if not isinstance(header, dict) or header.get("format") != "rom2l-basis":
+            raise BadBasisFile(f"{path}: not a basis file")
+        if header.get("inner_product") != "mass":
+            raise BadBasisFile(
+                f"{path}: modes orthonormal in the "
+                f"{header.get('inner_product')!r} inner product, expected 'mass'"
+            )
         table = np.loadtxt(fh, delimiter=",", ndmin=2)
     mdesc = header["mesh"]
     mesh = fem.build_mesh(
@@ -281,7 +281,7 @@ def load_basis(path) -> PodBasis:
     )
     rank = int(header["rank"])
     if table.shape != (mesh.n_nodes, rank + 1):
-        raise ValueError(
+        raise BadBasisFile(
             f"{path}: matrix shape {table.shape} does not match header"
         )
     pdesc = header.get("problem")
@@ -292,7 +292,6 @@ def load_basis(path) -> PodBasis:
         mean=FeFunction(mesh=mesh, coeffs=table[:, 0]),
         modes=table[:, 1:].copy(),
         singular_values=np.asarray(header["singular_values"], dtype=float),
-        inner_product=header["inner_product"],
         q_values=None if qv is None else np.asarray(qv, dtype=float),
         problem=problem,
     )

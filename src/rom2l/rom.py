@@ -73,8 +73,8 @@ def _basis_fingerprint(basis: PodBasis) -> str:
     digest.update(np.ascontiguousarray(basis.mean.coeffs).tobytes())
     digest.update(np.ascontiguousarray(basis.modes).tobytes())
     return (
-        f"rank={basis.rank};ip={basis.inner_product};"
-        f"nodes={basis.mesh.n_nodes};sha256={digest.hexdigest()}"
+        f"rank={basis.rank};nodes={basis.mesh.n_nodes};"
+        f"sha256={digest.hexdigest()}"
     )
 
 

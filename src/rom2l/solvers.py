@@ -20,12 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import fem, rom
-from .errors import (
-    DimensionError,
-    NoConvergence,
-    SingularJacobian,
-    SingularLinearSystem,
-)
+from .errors import DimensionError, NoConvergence, SingularJacobian
 from .fem import FeFunction, Mesh1D
 from .manufactured import BurgersProblem, forcing_f
 from .pod import PodBasis
@@ -49,7 +44,7 @@ class NewtonConfig:
     """Stopping rules for the Newton iteration.
 
     Attributes:
-        tol_residual: residual Euclidean norm below which an iterate may
+        tol_residual: residual 2-norm below which an iterate may
             be accepted.
         tol_step: Newton step norm below which an iterate is accepted
             (both tolerances must hold simultaneously).
@@ -74,7 +69,7 @@ class SolveOutcome:
     Attributes:
         coeffs: final coefficient vector.
         iterations: number of Newton steps actually applied.
-        final_residual_norm: Euclidean residual norm at ``coeffs``.
+        final_residual_norm: residual 2-norm at ``coeffs``.
         residual_history: residual norm at each visited iterate,
             ``iterations + 1`` entries.
     """
@@ -257,7 +252,8 @@ def two_level_solve(
         Pair of outcomes ``(coarse stage, correction stage)``.
 
     Raises:
-        SingularLinearSystem: if the correction matrix is singular.
+        SingularJacobian: if the Jacobian at the padded vector, the
+            correction matrix, is singular.
     """
     if not 1 <= r <= R2:
         raise DimensionError(f"need 1 <= r <= R2, got r={r}, R2={R2}")
@@ -269,8 +265,8 @@ def two_level_solve(
     try:
         a2 = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularLinearSystem(
-            f"singular correction system at dimension {R2}"
+        raise SingularJacobian(
+            f"singular correction Jacobian at dimension {R2}"
         ) from exc
     res_norm = float(np.linalg.norm(matrix @ a2 - rhs))
     outcome2 = SolveOutcome(

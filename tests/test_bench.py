@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -97,6 +98,13 @@ class TestRunExperiment:
         assert md["reps"] == 1
         assert md["clock"] == "time.perf_counter"
         assert md["numpy"] == np.__version__
+
+    def test_metadata_carries_every_config_field(self, tiny_report):
+        loaded = report_from_dict(json.loads(format_report(tiny_report, "json")))
+        config = json.loads(json.dumps(asdict(tiny_config())))
+        for f in fields(ExperimentConfig):
+            assert tiny_report.metadata[f.name] == config[f.name]
+            assert loaded.metadata[f.name] == config[f.name]
 
     def test_metadata_carries_the_basis_fingerprint(self, tiny_report, coarse_basis):
         ws = RomWorkspace(coarse_basis, 8, 1.0)

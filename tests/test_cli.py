@@ -79,15 +79,40 @@ class TestUsageErrors:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv",
-        [["offline", "--h", "-1", "--out", "unused.txt"],
-         ["exp1", "--pairs", "4:8", "--q-step", "0"]],
-        ids=["offline-h", "exp1-q-step"],
+        "argv, message",
+        [(["offline", "--h", "-1", "--out", "unused.txt"], "must be positive"),
+         (["exp1", "--pairs", "4:8", "--q-step", "0"], "must be positive"),
+         (["exp1", "--pairs", "4:8", "--reps", "0"], "must be at least 1")],
+        ids=["offline-h", "exp1-q-step", "exp1-reps"],
     )
-    def test_invalid_configuration_is_reported(self, argv, tmp_path, monkeypatch, capsys):
+    def test_invalid_configuration_is_reported(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
         monkeypatch.chdir(tmp_path)
         assert cli_main(argv) == 1
-        assert "must be positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: invalid configuration:" in err
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [None, ('"inner_product": "mass"', '"inner_product": "euclidean"')],
+        ids=["junk", "euclidean-tag"],
+    )
+    def test_unreadable_basis_is_reported(self, basis_file, edit, tmp_path, capsys):
+        path = tmp_path / "basis.txt"
+        if edit is None:
+            path.write_text("1.0,2.0\n3.0,4.0\n")
+        else:
+            with open(basis_file, encoding="utf-8") as fh:
+                path.write_text(fh.read().replace(*edit, 1))
+        rc = cli_main(
+            ["exp1", "--pairs", "4:8", "--guess", "avg", "--basis", str(path)]
+            + COARSE
+            + SWEEP
+        )
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestOffline:

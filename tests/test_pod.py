@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rom2l.checks import orthonormality_defect
-from rom2l.errors import DegenerateSnapshots, DimensionError
+from rom2l.errors import BadBasisFile, DegenerateSnapshots, DimensionError
 from rom2l.fem import FeFunction, interpolate, l2_norm
 from rom2l.manufactured import exact_u, with_parameter
 from rom2l.pod import (
@@ -80,9 +80,7 @@ class TestComputePod:
         snaps = SnapshotSet(
             mesh=coarse_mesh, q_values=np.arange(20.0), matrix=matrix
         )
-        for ip in ("mass", "euclidean"):
-            basis = compute_pod(snaps, inner_product=ip, rank_tol=1e-10)
-            assert basis.rank == 3
+        assert compute_pod(snaps, rank_tol=1e-10).rank == 3
 
     def test_orthonormality(self, coarse_basis):
         assert orthonormality_defect(coarse_basis) < 1e-10
@@ -92,15 +90,6 @@ class TestComputePod:
         modes[:, 3] *= 1.01
         scaled = replace(coarse_basis, modes=modes)
         assert orthonormality_defect(scaled) == pytest.approx(1.01**2 - 1, rel=1e-6)
-
-    def test_euclidean_orthonormality(self, default_problem, coarse_mesh):
-        snaps = generate_snapshots(
-            default_problem, parameter_grid(-4.0, 4.0, 0.5), coarse_mesh
-        )
-        basis = compute_pod(snaps, inner_product="euclidean")
-        gram = basis.modes.T @ basis.modes
-        assert np.max(np.abs(gram - np.eye(basis.rank))) < 1e-10
-        assert orthonormality_defect(basis) < 1e-10
 
     def test_modes_vanish_at_the_boundary(self, coarse_basis):
         assert np.all(coarse_basis.modes[0, :] == 0.0)
@@ -127,13 +116,6 @@ class TestComputePod:
         np.testing.assert_array_equal(
             loose.modes, tight.modes[:, : loose.rank]
         )
-
-    def test_unknown_inner_product(self, default_problem, coarse_mesh):
-        snaps = generate_snapshots(
-            default_problem, parameter_grid(-4.0, 4.0, 1.0), coarse_mesh
-        )
-        with pytest.raises(ValueError):
-            compute_pod(snaps, inner_product="h1")
 
 
 class TestProjectAndLift:
@@ -218,7 +200,6 @@ class TestSaveLoad:
             loaded.singular_values, coarse_basis.singular_values
         )
         np.testing.assert_array_equal(loaded.q_values, coarse_basis.q_values)
-        assert loaded.inner_product == coarse_basis.inner_product
         assert loaded.mesh.n_nodes == coarse_basis.mesh.n_nodes
         assert loaded.mesh.h == coarse_basis.mesh.h
         assert loaded.problem == coarse_basis.problem
@@ -227,4 +208,40 @@ class TestSaveLoad:
         path = tmp_path / "junk.txt"
         path.write_text("1.0,2.0\n3.0,4.0\n")
         with pytest.raises(ValueError):
+            load_basis(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ('"inner_product": "mass"', '"inner_product": "euclidean"'),
+            ('"format": "rom2l-basis"', '"format": "other"'),
+            ('"rank": 16', '"rank": 15'),
+            ("\n", "\nnot-a-number,"),
+        ],
+        ids=["euclidean-tag", "format", "shape", "matrix"],
+    )
+    def test_refusals_are_typed(self, coarse_basis, tmp_path, edit):
+        # Modes written as Euclidean-orthonormal would project with the
+        # wrong inner product and give wrong coefficients silently.
+        path = tmp_path / "basis.txt"
+        save_basis(coarse_basis, path)
+        text = path.read_text()
+        assert edit[0] in text
+        path.write_text(text.replace(edit[0], edit[1], 1))
+        with pytest.raises(BadBasisFile):
+            load_basis(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# not json\n1.0\n",
+            "# [1, 2]\n1.0\n",
+            '# {"format": "rom2l-basis", "inner_product": "mass"}\n1.0\n',
+        ],
+        ids=["bad-json", "not-an-object", "no-mesh"],
+    )
+    def test_unreadable_headers_are_typed(self, tmp_path, text):
+        path = tmp_path / "junk.txt"
+        path.write_text(text)
+        with pytest.raises(BadBasisFile):
             load_basis(path)

@@ -245,6 +245,17 @@ class TestTwoLevelSolve:
         with pytest.raises(DimensionError):
             two_level_solve(coarse_basis, 9, 8, default_problem, "avg")
 
+    def test_singular_correction_jacobian(self, coarse_basis, default_problem):
+        # Rows 4.. of A zero and B zero: stage 1 at r = 4 is a regular
+        # linear solve, but the Jacobian at the padded vector is singular.
+        ws = RomWorkspace(coarse_basis, 8, default_problem.nu)
+        ws.linear[4:, :] = 0.0
+        ws.quadratic[:] = 0.0
+        with pytest.raises(SingularJacobian, match="correction"):
+            two_level_solve(
+                coarse_basis, 4, 8, default_problem, "avg", None, ws
+            )
+
     def test_guess_quality_orders_the_iteration_counts(
         self, reference_basis, default_problem
     ):
