@@ -25,6 +25,7 @@ from .errors import (
     NoConvergence,
     RomError,
     SingularJacobian,
+    WorkspaceMismatch,
 )
 from .fem import (
     FeFunction,

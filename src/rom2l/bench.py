@@ -10,13 +10,13 @@ One experiment sweeps the bump center ``q`` over a grid and, for each
   repetitions after one untimed run per parameter value: the solve
   that measured its error.
 
-Timing covers the online stage only: per-parameter load-vector assembly
-plus the solves. The parameter-independent operators are precomputed in
-a shared :class:`~rom2l.rom.RomWorkspace`, and the forcing samples at
-the quadrature points are primed by the error-pass solve, since the forcing
-is problem data rather than work the solver should be charged for. Both
-models are timed through the identical code path, so the comparison is
-symmetric.
+Timing covers the online stage only: the operator views and the
+solves. The parameter-independent operators are precomputed in a shared
+:class:`~rom2l.rom.RomWorkspace`, and the forcing samples at the
+quadrature points, with their load vectors, are primed by the error-pass
+solve, since the forcing is problem data rather than work the solver
+should be charged for. Both models are timed through the identical code
+path, so the comparison is symmetric.
 
 Error averages use exact summation, so they do not depend on the order
 of the parameter grid. Parameter values where either model fails to

@@ -3,8 +3,9 @@
 Every error raised intentionally by this package derives from
 :class:`RomError`, so callers can catch one base class at the boundary
 of the library and let genuine bugs (plain ``ValueError``,
-``ZeroDivisionError``, ...) propagate. :class:`BadBasisFile` is also a
-``ValueError``, as the file it refuses is a bad input value.
+``ZeroDivisionError``, ...) propagate. :class:`BadBasisFile` and
+:class:`WorkspaceMismatch` are also ``ValueError``: what each refuses is
+a bad input value.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ class DegenerateSnapshots(RomError):
 class BadBasisFile(RomError, ValueError):
     """A file is not a readable mass-orthonormal basis written by
     :func:`rom2l.pod.save_basis`."""
+
+
+class WorkspaceMismatch(RomError, ValueError):
+    """A :class:`rom2l.rom.RomWorkspace` is used with a viscosity or a
+    basis other than the one it was assembled for."""
 
 
 class DimensionError(RomError):

@@ -17,9 +17,15 @@ with the forcing parameter, which is what makes the online stage cheap.
 :class:`RomWorkspace` precomputes the parameter-independent pieces once
 per basis at the largest dimension of interest. The operators of any
 smaller dimension are leading slice views of its arrays, so one
-precomputation serves every dimension without copies. The Jacobian
-contracts ``B`` with ``@``, which passes the strided blocks of a view to
-BLAS as they are; a reshaping contraction would copy them on every call.
+precomputation serves every dimension without copies. The workspace
+also holds the symmetrized tensor ``S = B + B^T`` (transposed in its
+last two slots), whose contraction with ``a`` is the whole quadratic
+part of the Jacobian, so a Jacobian costs one contraction instead of
+two. Contractions use ``@``, which passes the strided blocks of a view
+to BLAS as they are; a reshaping contraction would copy them on every
+call. Each cached forcing sample carries its load vector at ``r_max``,
+computed once when the sample is taken, so a request for a cached
+problem slices ``b`` instead of projecting the forcing again.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .errors import DimensionError, MeshMismatch
+from .errors import DimensionError, MeshMismatch, WorkspaceMismatch
 from .manufactured import BurgersProblem, forcing_f
 from .pod import PodBasis
 
@@ -49,21 +55,25 @@ __all__ = [
 class RomOperators:
     """Reduced operators of one problem instance at one dimension.
 
-    ``linear`` and ``quadratic`` from :meth:`RomWorkspace.operators` or
-    :func:`restrict` are views shared with the workspace (and with every
-    other dimension it serves), so they must not be written to.
+    The arrays from :meth:`RomWorkspace.operators` or :func:`restrict`
+    are views of the workspace's arrays, which serve every dimension and
+    every request for the same problem, so they must not be written to.
 
     Attributes:
         dim: reduced dimension R.
         linear: matrix ``A``, shape (R, R), including the viscous term
             and the mean couplings.
-        quadratic: tensor ``B``, shape (R, R, R).
+        quadratic: tensor ``B``, shape (R, R, R); the residual reads it.
+        symmetric: tensor ``S[i, j, k] = B[i, j, k] + B[i, k, j]``,
+            shape (R, R, R); the Jacobian reads it. It must be built
+            from ``quadratic``, as :class:`RomWorkspace` does.
         constant: vector ``b``, shape (R,), for the current forcing.
     """
 
     dim: int
     linear: np.ndarray = field(repr=False)
     quadratic: np.ndarray = field(repr=False)
+    symmetric: np.ndarray = field(repr=False)
     constant: np.ndarray = field(repr=False)
 
 
@@ -118,6 +128,7 @@ class RomWorkspace:
         for i in range(r_max):
             quad[i] = (vals * (wq * vals[:, i])[:, None]).T @ ders
         self.quadratic = quad
+        self.symmetric = quad + quad.transpose(0, 2, 1)
         # b = nu * (mean', phi_i') + (mean * mean', phi_i) - (f, phi_i);
         # the forcing term is applied per parameter via the load map.
         self.constant_base = self.nu * ders.T @ (wq * mean_der) + vals.T @ (
@@ -126,7 +137,8 @@ class RomWorkspace:
         self.load_map = (vals * wq[:, None]).T  # maps f at quad points to (f, phi_i)
         self.fingerprint = _basis_fingerprint(basis)
         self._ends = (float(basis.mean.coeffs[0]), float(basis.mean.coeffs[-1]))
-        self._forcing_cache: dict[BurgersProblem, np.ndarray] = {}
+        # problem -> (forcing at the quadrature points, load vector at r_max)
+        self._forcing_cache: dict[BurgersProblem, tuple[np.ndarray, np.ndarray]] = {}
 
     def _dim(self, r: int | None) -> int:
         r = self.r_max if r is None else int(r)
@@ -135,14 +147,19 @@ class RomWorkspace:
         return r
 
     def forcing_values(self, prob: BurgersProblem) -> np.ndarray:
-        """Forcing sampled at the quadrature points, cached per problem."""
-        vals = self._forcing_cache.get(prob)
-        if vals is None:
+        """Forcing sampled at the quadrature points, cached per problem.
+
+        Only a problem not in the cache samples the forcing; it then
+        also computes the problem's load vector at ``r_max``, which
+        :meth:`operators` slices from the same cache entry.
+        """
+        entry = self._forcing_cache.get(prob)
+        if entry is None:
             vals = forcing_f(prob, self.quad_x)
             if len(self._forcing_cache) >= 8:
                 self._forcing_cache.pop(next(iter(self._forcing_cache)))
-            self._forcing_cache[prob] = vals
-        return vals
+            entry = self._forcing_cache[prob] = (vals, self.load_vector(vals))
+        return entry[0]
 
     def load_vector(self, f_quad_values: np.ndarray, r: int | None = None) -> np.ndarray:
         """Constant vector ``b`` for forcing given by its quadrature values."""
@@ -152,13 +169,19 @@ class RomWorkspace:
     def operators(self, prob: BurgersProblem, r: int | None = None) -> RomOperators:
         """Reduced operators for one problem instance at dimension ``r``.
 
+        Every array is a leading slice of the workspace or of the
+        problem's forcing cache entry; nothing is recomputed for a
+        cached problem.
+
         Raises:
+            WorkspaceMismatch: if ``prob`` has another viscosity than
+                the workspace was assembled with.
             MeshMismatch: if ``prob`` lives on another interval than the
                 basis, or its boundary values differ from the end values
                 of the basis mean, which carries them.
         """
         if prob.nu != self.nu:
-            raise ValueError(
+            raise WorkspaceMismatch(
                 f"workspace was assembled with nu={self.nu}, problem has {prob.nu}"
             )
         mesh = self.basis.mesh
@@ -174,11 +197,13 @@ class RomWorkspace:
                     f"problem has {name}={value}, the basis mean has end value {end}"
                 )
         r = self._dim(r)
+        self.forcing_values(prob)  # fills the cache entry on a miss
         return RomOperators(
             dim=r,
             linear=self.linear[:r, :r],
             quadratic=self.quadratic[:r, :r, :r],
-            constant=self.load_vector(self.forcing_values(prob), r),
+            symmetric=self.symmetric[:r, :r, :r],
+            constant=self._forcing_cache[prob][1][:r],
         )
 
 
@@ -207,6 +232,7 @@ def restrict(ops: RomOperators, r: int) -> RomOperators:
         dim=r,
         linear=ops.linear[:r, :r],
         quadratic=ops.quadratic[:r, :r, :r],
+        symmetric=ops.symmetric[:r, :r, :r],
         constant=ops.constant[:r],
     )
 
@@ -227,9 +253,13 @@ def residual(ops: RomOperators, a: np.ndarray) -> np.ndarray:
 
 
 def jacobian(ops: RomOperators, a: np.ndarray) -> np.ndarray:
-    """Jacobian of the residual: ``A + B(., a, .) + B(., ., a)``."""
+    """Jacobian of the residual: ``A + B(., a, .) + B(., ., a)``.
+
+    Both contractions of ``B`` are one contraction of the symmetrized
+    tensor, ``A + S(., ., a)``.
+    """
     a = _check_coeffs(ops, a)
-    return ops.linear + a @ ops.quadratic + ops.quadratic @ a
+    return ops.linear + ops.symmetric @ a
 
 
 def two_level_matrix_rhs(

@@ -19,7 +19,7 @@ import pytest
 
 import rom2l
 from rom2l import fem
-from rom2l.errors import DimensionError, MeshMismatch
+from rom2l.errors import DimensionError, MeshMismatch, RomError
 from rom2l.manufactured import BurgersProblem, forcing_f, with_parameter
 from rom2l.rom import (
     RomOperators,
@@ -182,17 +182,20 @@ class TestResidualAndJacobian:
         # a larger tensor it is a non-contiguous view, like the
         # workspace's operators below r_max.
         big = rng.standard_normal((7, 7, 7))
+        big_sym = big + big.transpose(0, 2, 1)
         view = RomOperators(
             dim=5,
             linear=rng.standard_normal((5, 5)),
             quadratic=big[:5, :5, :5],
+            symmetric=big_sym[:5, :5, :5],
             constant=rng.standard_normal(5),
         )
-        assert not view.quadratic.flags.c_contiguous
+        assert not view.symmetric.flags.c_contiguous
         copy = RomOperators(
             dim=5,
             linear=view.linear,
             quadratic=np.ascontiguousarray(view.quadratic),
+            symmetric=np.ascontiguousarray(view.symmetric),
             constant=view.constant,
         )
         a = rng.standard_normal(5)
@@ -258,6 +261,36 @@ class TestWorkspace:
         assert np.shares_memory(ops.quadratic, ws.quadratic)
         np.testing.assert_array_equal(ops.linear, ws.linear[:5, :5])
         np.testing.assert_array_equal(ops.quadratic, ws.quadratic[:5, :5, :5])
+        assert np.shares_memory(ops.symmetric, ws.symmetric)
+        np.testing.assert_array_equal(ops.symmetric, ws.symmetric[:5, :5, :5])
+        small = restrict(ops, 3)
+        assert np.shares_memory(small.symmetric, ws.symmetric)
+        np.testing.assert_array_equal(small.symmetric, ws.symmetric[:3, :3, :3])
+
+    def test_symmetric_tensor_is_b_plus_its_slot_transpose(
+        self, coarse_basis, default_problem
+    ):
+        ws = RomWorkspace(coarse_basis, 8, default_problem.nu)
+        np.testing.assert_array_equal(
+            ws.symmetric, ws.quadratic + ws.quadratic.transpose(0, 2, 1)
+        )
+
+    def test_constant_is_the_cached_load_vector(self, coarse_basis, default_problem):
+        ws = RomWorkspace(coarse_basis, 8, default_problem.nu)
+        prob = with_parameter(default_problem, 0.37)
+        f = forcing_f(prob, ws.quad_x)
+        for r in (1, 5, 8):
+            expected = ws.constant_base[:r] - ws.load_map[:r] @ f
+            np.testing.assert_allclose(
+                ws.operators(prob, r).constant,
+                expected,
+                rtol=0,
+                atol=1e-13 * np.max(np.abs(expected)),
+            )
+        # Two dimensions are served from one cache entry, not recomputed.
+        assert np.shares_memory(
+            ws.operators(prob, 5).constant, ws.operators(prob, 8).constant
+        )
 
     def test_forcing_cache_returns_the_same_array(
         self, coarse_basis, default_problem
@@ -351,8 +384,9 @@ class TestWorkspace:
 
     def test_viscosity_mismatch_is_rejected(self, coarse_basis, default_problem):
         ws = RomWorkspace(coarse_basis, 4, 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             ws.operators(default_problem, 4)
+        assert isinstance(excinfo.value, RomError)
 
     def test_dimension_bounds(self, coarse_basis, default_problem):
         with pytest.raises(DimensionError):

@@ -8,6 +8,7 @@ import pytest
 from rom2l.errors import (
     DimensionError,
     NoConvergence,
+    RomError,
     SingularJacobian,
 )
 from rom2l.fem import FeFunction, build_mesh, l2_norm, quadrature_points
@@ -16,6 +17,7 @@ from rom2l.rom import RomOperators, RomWorkspace, residual
 from rom2l.solvers import (
     NewtonConfig,
     _fom_residual_jacobian,
+    _solve_dense,
     fom_solve,
     make_guess,
     newton_solve,
@@ -27,10 +29,12 @@ from rom2l.solvers import (
 def toy_ops(linear, quadratic, constant):
     linear = np.atleast_2d(np.asarray(linear, dtype=float))
     dim = linear.shape[0]
+    quadratic = np.asarray(quadratic, dtype=float).reshape(dim, dim, dim)
     return RomOperators(
         dim=dim,
         linear=linear,
-        quadratic=np.asarray(quadratic, dtype=float).reshape(dim, dim, dim),
+        quadratic=quadratic,
+        symmetric=quadratic + quadratic.transpose(0, 2, 1),
         constant=np.asarray(constant, dtype=float).reshape(dim),
     )
 
@@ -115,11 +119,26 @@ class TestNewtonSolve:
             newton_solve(ops, np.array([0.0]))
 
     def test_overflow_raises_no_convergence(self):
-        ops = toy_ops([[1.0]], [[[1e308]]], [0.0])
-        with np.errstate(over="ignore"), pytest.raises(
-            NoConvergence, match="non-finite"
-        ):
-            newton_solve(ops, np.array([1e10]))
+        # The symmetrized tensor 2e308 already overflows.
+        with np.errstate(over="ignore"):
+            ops = toy_ops([[1.0]], [[[1e308]]], [0.0])
+            with pytest.raises(NoConvergence, match="non-finite"):
+                newton_solve(ops, np.array([1e10]))
+
+    @pytest.mark.parametrize("n", [5, 23])
+    def test_dense_step_matches_numpy(self, rng, n):
+        # The same LU with partial pivoting as np.linalg.solve, but NumPy
+        # and SciPy may link different LAPACK builds, so agreement is to
+        # round-off.
+        matrix = rng.standard_normal((n, n))
+        rhs = rng.standard_normal(n)
+        expected = np.linalg.solve(matrix, rhs)
+        np.testing.assert_allclose(
+            _solve_dense(matrix, rhs),
+            expected,
+            rtol=0,
+            atol=1e-12 * np.max(np.abs(expected)),
+        )
 
     def test_start_vector_length_is_checked(self):
         ops = toy_ops(np.eye(2), np.zeros((2, 2, 2)), np.ones(2))
@@ -199,8 +218,9 @@ class TestOneLevelSolve:
             )
         )
         ws = RomWorkspace(other, 4, default_problem.nu)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             one_level_solve(coarse_basis, 4, default_problem, "avg", workspace=ws)
+        assert isinstance(excinfo.value, RomError)
 
     def test_workspace_dimension_bound(self, coarse_basis, default_problem):
         ws = RomWorkspace(coarse_basis, 4, default_problem.nu)
@@ -251,6 +271,7 @@ class TestTwoLevelSolve:
         ws = RomWorkspace(coarse_basis, 8, default_problem.nu)
         ws.linear[4:, :] = 0.0
         ws.quadratic[:] = 0.0
+        ws.symmetric[:] = 0.0
         with pytest.raises(SingularJacobian, match="correction"):
             two_level_solve(
                 coarse_basis, 4, 8, default_problem, "avg", None, ws
