@@ -5,10 +5,26 @@ One experiment sweeps the bump center ``q`` over a grid and, for each
 
 * the L2 error of the one-level solve at dimension ``R1`` and of the
   two-level solve (coarse dimension ``r``, correction dimension ``R2``)
-  against the exact manufactured solution, averaged over the sweep, and
+  against the nodal interpolant ``I_h u_q`` of the exact manufactured
+  solution, averaged over the sweep, and
 * the average wall time of both solves, each timed over ``reps``
   repetitions after one untimed run per parameter value: the solve
   that measured its error.
+
+The sweep runs ``q`` outermost, then the triples, then the guesses, so
+each ``q`` samples its forcing once and every solve at that ``q`` finds
+it, with its load vector, in the workspace cache. Rows and records
+come out in the order of the triples and guesses, each with its
+records in grid order.
+
+Errors are taken in reduced coordinates. Once per ``q`` the harness
+projects ``u = I_h u_q`` onto the leading ``r_max`` modes, ``p``, and
+measures the L2 norm ``e`` of the remainder ``u - lift(p)``. The modes
+are orthonormal in the mass inner product and the remainder is
+orthogonal to them, so a reduced solution ``a`` of dimension ``R`` has
+error ``sqrt(|a - p[:R]|^2 + |p[R:]|^2 + e^2)``: a sum of non-negative
+terms, without cancellation, at O(R) cost per solve. The same split
+gives the POD projection error of ``u`` at ``R1``.
 
 Timing covers the online stage only: the operator views and the
 solves. The parameter-independent operators are precomputed in a shared
@@ -49,6 +65,7 @@ from .pod import (
     generate_snapshots,
     lift,
     parameter_grid,
+    project,
 )
 from .rom import RomWorkspace
 from .solvers import (
@@ -148,7 +165,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class QRecord:
-    """Per-parameter measurements for one (triple, guess) combination."""
+    """Per-parameter measurements for one (triple, guess) combination.
+
+    ``err_proj`` is the L2 error of the POD projection of ``I_h u_q``
+    onto the leading ``R1`` modes, the floor under ``err_1l``; reports
+    written without it load with NaN.
+    """
 
     q: float
     err_1l: float
@@ -159,6 +181,7 @@ class QRecord:
     time_2l_s: float
     failed_1l: bool
     failed_2l: bool
+    err_proj: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -208,30 +231,47 @@ def _mean(values) -> float:
     return math.fsum(vals) / len(vals)
 
 
-def _measure(ws, basis, triple, guess, prob_q, cfg) -> QRecord:
+def _exact_split(basis, prob_q, r_max) -> tuple[np.ndarray, float]:
+    """``I_h u_q`` split against the leading ``r_max`` modes: its
+    coefficients ``p`` there and the L2 norm of the remainder
+    ``I_h u_q - lift(p)``, which is mass-orthogonal to those modes."""
+    mesh = basis.mesh
+    u = FeFunction(mesh=mesh, coeffs=exact_u(prob_q, mesh.nodes))
+    p = project(basis, u, r_max)
+    remainder = u.coeffs - lift(basis, p).coeffs
+    return p, fem.l2_norm(FeFunction(mesh=mesh, coeffs=remainder))
+
+
+def _l2_error(a: np.ndarray, p: np.ndarray, rest: float) -> float:
+    """L2 error of ``lift(a)`` against ``I_h u_q`` from the split
+    ``(p, rest)`` of ``I_h u_q``, for ``a`` of any dimension up to
+    ``p.size``."""
+    head, tail = a - p[: a.size], p[a.size :]
+    return math.sqrt(head @ head + tail @ tail + rest * rest)
+
+
+def _measure(ws, basis, triple, guess, prob_q, split, cfg) -> QRecord:
     """Errors of both solves at one parameter value and, when neither
     fails, their average wall times.
 
     The error solves are the untimed run before timing: they prime the
-    forcing cache for the same ``q``.
+    forcing cache for the same ``q``. Every error comes from ``split``,
+    the pair :func:`_exact_split` returns for ``prob_q``.
     """
     r, r1, r2 = triple
-    mesh = basis.mesh
-    exact = exact_u(prob_q, mesh.nodes)
+    p, rest = split
     err_1l = err_2l = t_1l = t_2l = math.nan
     iters_1l = iters_2l = -1
     failed_1l = failed_2l = False
     try:
         out1 = one_level_solve(basis, r1, prob_q, guess, cfg.newton, ws)
-        diff = lift(basis, out1.coeffs).coeffs - exact
-        err_1l = fem.l2_norm(FeFunction(mesh=mesh, coeffs=diff))
+        err_1l = _l2_error(out1.coeffs, p, rest)
         iters_1l = out1.iterations
     except _SOLVE_FAILURES:
         failed_1l = True
     try:
         stage1, stage2 = two_level_solve(basis, r, r2, prob_q, guess, cfg.newton, ws)
-        diff = lift(basis, stage2.coeffs).coeffs - exact
-        err_2l = fem.l2_norm(FeFunction(mesh=mesh, coeffs=diff))
+        err_2l = _l2_error(stage2.coeffs, p, rest)
         iters_2l = stage1.iterations
     except _SOLVE_FAILURES:
         failed_2l = True
@@ -247,6 +287,7 @@ def _measure(ws, basis, triple, guess, prob_q, cfg) -> QRecord:
         time_2l_s=t_2l,
         failed_1l=failed_1l,
         failed_2l=failed_2l,
+        err_proj=_l2_error(p[:r1], p, rest),
     )
 
 
@@ -262,6 +303,39 @@ def _time_pair(ws, basis, triple, guess, prob_q, cfg):
         two_level_solve(basis, r, r2, prob_q, guess, newton, ws)
     t2 = time.perf_counter()
     return (t1 - t0) / cfg.reps, (t2 - t1) / cfg.reps
+
+
+def _row(triple, guess, records) -> ExperimentRow:
+    """Aggregate one (triple, guess) combination's records."""
+    ok = [rec for rec in records if not (rec.failed_1l or rec.failed_2l)]
+    err_1l = _mean(rec.err_1l for rec in ok)
+    err_2l = _mean(rec.err_2l for rec in ok)
+    t_1l = _mean(rec.time_1l_s for rec in ok)
+    t_2l = _mean(rec.time_2l_s for rec in ok)
+    row = ExperimentRow(
+        guess=guess,
+        r=triple[0],
+        r1=triple[1],
+        r2=triple[2],
+        err_2l=err_2l,
+        time_2l_s=t_2l,
+        err_1l=err_1l,
+        time_1l_s=t_1l,
+        error_ratio=err_2l / err_1l if err_1l else math.nan,
+        speedup=t_1l / t_2l if t_2l else math.nan,
+        n_failures=len(records) - len(ok),
+        records=records,
+    )
+    logger.info(
+        "triple (%d, %d, %d) guess %s: error ratio %.4f, speedup %.3f, "
+        "%d failures",
+        *triple,
+        guess,
+        row.error_ratio,
+        row.speedup,
+        row.n_failures,
+    )
+    return row
 
 
 def run_experiment(cfg: ExperimentConfig, basis: PodBasis | None = None) -> ExperimentReport:
@@ -288,45 +362,17 @@ def run_experiment(cfg: ExperimentConfig, basis: PodBasis | None = None) -> Expe
     q_values = cfg.q_values()
     r_max = max(max(t[1], t[2]) for t in cfg.triples)
     ws = RomWorkspace(basis, r_max, cfg.problem.nu)
-    rows = []
-    for triple in cfg.triples:
-        triple = tuple(int(v) for v in triple)
-        for guess in cfg.guesses:
-            records = tuple(
-                _measure(ws, basis, triple, guess, with_parameter(cfg.problem, q), cfg)
-                for q in q_values
-            )
-            ok = [rec for rec in records if not (rec.failed_1l or rec.failed_2l)]
-            err_1l = _mean(rec.err_1l for rec in ok)
-            err_2l = _mean(rec.err_2l for rec in ok)
-            t_1l = _mean(rec.time_1l_s for rec in ok)
-            t_2l = _mean(rec.time_2l_s for rec in ok)
-            rows.append(
-                ExperimentRow(
-                    guess=guess,
-                    r=triple[0],
-                    r1=triple[1],
-                    r2=triple[2],
-                    err_2l=err_2l,
-                    time_2l_s=t_2l,
-                    err_1l=err_1l,
-                    time_1l_s=t_1l,
-                    error_ratio=err_2l / err_1l if err_1l else math.nan,
-                    speedup=t_1l / t_2l if t_2l else math.nan,
-                    n_failures=len(records) - len(ok),
-                    records=records,
-                )
-            )
-            logger.info(
-                "triple (%d, %d, %d) guess %s: error ratio %.4f, speedup %.3f, "
-                "%d failures",
-                *triple,
-                guess,
-                rows[-1].error_ratio,
-                rows[-1].speedup,
-                rows[-1].n_failures,
-            )
-
+    combos = [(tuple(int(v) for v in t), g) for t in cfg.triples for g in cfg.guesses]
+    records = [[] for _ in combos]
+    for q in q_values:
+        prob_q = with_parameter(cfg.problem, q)
+        split = _exact_split(basis, prob_q, r_max)
+        for (triple, guess), recs in zip(combos, records):
+            recs.append(_measure(ws, basis, triple, guess, prob_q, split, cfg))
+    rows = [
+        _row(triple, guess, tuple(recs))
+        for (triple, guess), recs in zip(combos, records)
+    ]
     # Lists, not tuples, so the metadata equals its JSON round trip.
     metadata = asdict(cfg) | {
         "triples": [list(t) for t in cfg.triples],

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -120,6 +121,19 @@ def generate_snapshots(
     return SnapshotSet(mesh=mesh, q_values=q_values, matrix=matrix, problem=prob)
 
 
+@lru_cache(maxsize=16)
+def _mass_band(mesh: Mesh1D) -> np.ndarray:
+    """Interior mass matrix of ``mesh`` in the banded layout of
+    :func:`fem.interior_band`, built once per mesh and read-only.
+
+    It is stored in Fortran order, which BLAS ``dgbmv`` reads without
+    a copy.
+    """
+    band = np.asfortranarray(fem.interior_band(mesh, vv=1.0))
+    band.setflags(write=False)
+    return band
+
+
 def compute_pod(snaps: SnapshotSet, rank_tol: float = DEFAULT_RANK_TOL) -> PodBasis:
     """Extract a mass-orthonormal POD basis from a snapshot set.
 
@@ -141,7 +155,7 @@ def compute_pod(snaps: SnapshotSet, rank_tol: float = DEFAULT_RANK_TOL) -> PodBa
     interior = fluct[1:-1, :]
     # Upper Cholesky factor U of the interior mass matrix, M = U^T U;
     # the SVD runs on U @ interior, built one diagonal of U at a time.
-    factor = sla.cholesky_banded(fem.interior_band(mesh, vv=1.0)[:3])
+    factor = sla.cholesky_banded(_mass_band(mesh)[:3])
     weighted = factor[2, :, None] * interior
     for k in (1, 2):
         weighted[:-k] += factor[2 - k, k:, None] * interior[k:]
@@ -180,7 +194,7 @@ def project(basis: PodBasis, u: FeFunction, r: int) -> np.ndarray:
         raise MeshMismatch("function and basis live on different meshes")
     # The modes vanish on the boundary, so only the interior rows count.
     fluct = u.coeffs[1:-1] - basis.mean.coeffs[1:-1]
-    mass = fem.interior_band(basis.mesh, vv=1.0)
+    mass = _mass_band(basis.mesh)
     fluct = sla.blas.dgbmv(fluct.size, fluct.size, 2, 2, 1.0, mass, fluct)
     return basis.modes[1:-1, :r].T @ fluct
 

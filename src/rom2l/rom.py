@@ -93,7 +93,9 @@ class RomWorkspace:
 
     All quantities are stored at dimension ``r_max``; requesting a
     smaller dimension takes a view of the leading block, so bases are
-    nested by construction.
+    nested by construction. The convection tensor ``B`` is assembled
+    once per unordered pair of its first two slots, in which it is
+    symmetric, and mirrored into the other half.
 
     Args:
         basis: the POD basis.
@@ -123,10 +125,14 @@ class RomWorkspace:
             + (vals.T * (wq * mean_der)) @ vals
         )
         # B[i, j, k] = (phi_j * phi_k', phi_i), built one i-slab at a time
-        # to keep the working set small.
+        # to keep the working set small. It is symmetric in i and j, so
+        # slab i computes only the rows j >= i and mirrors them into
+        # B[j, i]: one product per unordered pair, and B is exactly
+        # symmetric in its first two slots.
         quad = np.empty((r_max, r_max, r_max))
         for i in range(r_max):
-            quad[i] = (vals * (wq * vals[:, i])[:, None]).T @ ders
+            quad[i, i:] = (vals[:, i:] * (wq * vals[:, i])[:, None]).T @ ders
+            quad[i + 1:, i] = quad[i, i + 1:]
         self.quadratic = quad
         self.symmetric = quad + quad.transpose(0, 2, 1)
         # b = nu * (mean', phi_i') + (mean * mean', phi_i) - (f, phi_i);

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,8 @@ from rom2l.bench import (
     ExperimentReport,
     ExperimentRow,
     QRecord,
+    _exact_split,
+    _l2_error,
     _mean,
     emit_report,
     format_report,
@@ -24,8 +26,11 @@ from rom2l.bench import (
     run_experiment,
 )
 from rom2l.errors import DimensionError
+from rom2l.fem import FeFunction, l2_norm
+from rom2l.manufactured import exact_u, with_parameter
+from rom2l.pod import lift, reconstruction_error
 from rom2l.rom import RomWorkspace
-from rom2l.solvers import NewtonConfig
+from rom2l.solvers import NewtonConfig, one_level_solve
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -147,6 +152,62 @@ class TestRunExperiment:
         assert all(math.isnan(rec.time_1l_s) for rec in row.records)
 
 
+    def test_err_proj_is_the_projection_error(self, tiny_report, coarse_basis):
+        mesh = coarse_basis.mesh
+        row = tiny_report.rows[0]
+        for rec in row.records:
+            prob = with_parameter(coarse_basis.problem, rec.q)
+            u = FeFunction(mesh=mesh, coeffs=exact_u(prob, mesh.nodes))
+            expected = reconstruction_error(coarse_basis, u, row.r1)
+            assert rec.err_proj == pytest.approx(expected, rel=1e-10)
+            # The projection is the best approximation in the L2 norm.
+            assert rec.err_proj <= rec.err_1l
+
+    def test_triples_in_one_sweep_match_separate_sweeps(self, coarse_basis):
+        # The sweep runs q outermost; only the order of the work may
+        # change, not any record.
+        triples = ((4, 8, 8), (6, 10, 10), (5, 12, 9))
+        cfg = tiny_config(q_start=-2.0, q_end=2.0, q_step=0.5, guesses=("ug", "avg"))
+        joint = run_experiment(replace(cfg, triples=triples), basis=coarse_basis)
+        alone = [
+            row
+            for t in triples
+            for row in run_experiment(
+                replace(cfg, triples=(t,)), basis=coarse_basis
+            ).rows
+        ]
+        assert [(r.r, r.r1, r.r2, r.guess) for r in joint.rows] == [
+            (r.r, r.r1, r.r2, r.guess) for r in alone
+        ]
+        for row, ref in zip(joint.rows, alone):
+            assert len(row.records) == len(ref.records) == 9
+            for rec, want in zip(row.records, ref.records):
+                assert (rec.q, rec.iters_1l, rec.iters_2l_stage1) == (
+                    want.q, want.iters_1l, want.iters_2l_stage1
+                )
+                assert (rec.failed_1l, rec.failed_2l) == (
+                    want.failed_1l, want.failed_2l
+                )
+                for name in ("err_1l", "err_2l", "err_proj"):
+                    assert getattr(rec, name) == pytest.approx(
+                        getattr(want, name), rel=1e-10
+                    )
+
+
+class TestReducedCoordinateErrors:
+    @pytest.mark.parametrize("q", [-2.7, 0.3, 1.25, 3.6])
+    def test_matches_the_norm_of_the_lifted_difference(self, coarse_basis, q):
+        prob = with_parameter(coarse_basis.problem, q)
+        mesh = coarse_basis.mesh
+        exact = exact_u(prob, mesh.nodes)
+        split = _exact_split(coarse_basis, prob, coarse_basis.rank)
+        for R in (3, 8, 13, coarse_basis.rank):
+            a = one_level_solve(coarse_basis, R, prob, "avg").coeffs
+            diff = lift(coarse_basis, a).coeffs - exact
+            expected = l2_norm(FeFunction(mesh=mesh, coeffs=diff))
+            assert _l2_error(a, *split) == pytest.approx(expected, rel=1e-10)
+
+
 class TestMean:
     def test_empty_is_nan(self):
         assert math.isnan(_mean([]))
@@ -201,6 +262,14 @@ class TestReportFormats:
         assert data["version"] == 1
         with pytest.raises(ValueError):
             report_from_dict({"format": "other"})
+
+    def test_reports_without_err_proj_still_load(self, tiny_report):
+        data = report_to_dict(tiny_report)
+        for row in data["rows"]:
+            for rec in row["records"]:
+                del rec["err_proj"]
+        loaded = report_from_dict(data)
+        assert all(math.isnan(rec.err_proj) for rec in loaded.rows[0].records)
 
     def test_row_and_record_fields_survive(self, tiny_report, tmp_path):
         path = tmp_path / "report.json"

@@ -9,10 +9,11 @@ import pytest
 
 from rom2l.checks import orthonormality_defect
 from rom2l.errors import BadBasisFile, DegenerateSnapshots, DimensionError
-from rom2l.fem import FeFunction, interpolate, l2_norm
+from rom2l.fem import FeFunction, interior_band, interpolate, l2_norm
 from rom2l.manufactured import exact_u, with_parameter
 from rom2l.pod import (
     SnapshotSet,
+    _mass_band,
     compute_pod,
     generate_snapshots,
     lift,
@@ -165,6 +166,12 @@ class TestProjectAndLift:
             total += reconstruction_error(coarse_basis, u, r) ** 2
         expected = float(np.sum(sv[r:] ** 2))
         assert total == pytest.approx(expected, rel=1e-8)
+
+    def test_mass_band_is_built_once_per_mesh(self, coarse_mesh):
+        band = _mass_band(coarse_mesh)
+        assert _mass_band(coarse_mesh) is band
+        assert not band.flags.writeable
+        np.testing.assert_array_equal(band, interior_band(coarse_mesh, vv=1.0))
 
     def test_lift_constant_term(self, coarse_basis):
         u = lift(coarse_basis, np.zeros(3))

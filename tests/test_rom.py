@@ -275,6 +275,23 @@ class TestWorkspace:
             ws.symmetric, ws.quadratic + ws.quadratic.transpose(0, 2, 1)
         )
 
+    def test_quadratic_tensor_is_symmetric_in_its_first_two_slots(
+        self, coarse_basis, default_problem
+    ):
+        r = coarse_basis.rank
+        ws = RomWorkspace(coarse_basis, r, default_problem.nu)
+        B = ws.quadratic
+        np.testing.assert_array_equal(B, B.transpose(1, 0, 2))
+        # Every slab in full, as assembled before the mirrored half was
+        # dropped.
+        mesh = coarse_basis.mesh
+        vals, ders = fem.eval_at_quadrature(mesh, coarse_basis.modes)
+        _, wq = fem.quadrature_points(mesh)
+        slabs = np.stack(
+            [(vals * (wq * vals[:, i])[:, None]).T @ ders for i in range(r)]
+        )
+        assert np.max(np.abs(B - slabs)) <= 1e-13 * np.max(np.abs(slabs))
+
     def test_constant_is_the_cached_load_vector(self, coarse_basis, default_problem):
         ws = RomWorkspace(coarse_basis, 8, default_problem.nu)
         prob = with_parameter(default_problem, 0.37)
