@@ -31,10 +31,8 @@ from .fem import (
     FeFunction,
     Mesh1D,
     build_mesh,
-    evaluate,
     interior_band,
     interior_load,
-    interpolate,
     l2_norm,
     trilinear_b,
 )
@@ -60,7 +58,6 @@ from .pod import (
 from .rom import (
     RomOperators,
     RomWorkspace,
-    assemble_operators,
     jacobian,
     residual,
     two_level_matrix_rhs,

@@ -145,6 +145,10 @@ class ExperimentConfig:
             raise ValueError(f"reps must be at least 1, got {self.reps}")
         if self.q_step <= 0:
             raise ValueError(f"q_step must be positive, got {self.q_step}")
+        if self.q_values().size == 0:
+            raise ValueError(
+                f"parameter grid from {self.q_start} to {self.q_end} has no values"
+            )
         if self.h <= 0:
             raise ValueError(f"element size must be positive, got {self.h}")
         if not self.guesses:

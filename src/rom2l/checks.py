@@ -106,8 +106,10 @@ def telescoping_defect(ops: rom.RomOperators, a_r: np.ndarray) -> float:
 
     With ``(M, rhs)`` from :func:`rom.two_level_matrix_rhs` and ``pad``
     the zero-padded ``a_r``, ``M pad - rhs`` equals the nonlinear
-    residual at ``pad``. Returns the largest deviation relative to
-    ``max |b|``.
+    residual ``A pad + (S pad) pad / 2 + b`` at ``pad`` for any tensor
+    ``S``, so a matrix that drops part of the Jacobian, or a right-hand
+    side with the wrong quadratic term, shows. Returns the largest
+    deviation relative to ``max |b|``.
     """
     matrix, rhs = rom.two_level_matrix_rhs(ops, a_r)
     padded = np.zeros(ops.dim)
@@ -117,7 +119,7 @@ def telescoping_defect(ops: rom.RomOperators, a_r: np.ndarray) -> float:
 
 
 def nesting_defect(small: rom.RomOperators, big: rom.RomOperators) -> float:
-    """How far ``small``'s ``A`` and ``B`` are from the leading blocks of ``big``'s.
+    """How far ``small``'s ``A`` and ``S`` are from the leading blocks of ``big``'s.
 
     Returns the larger of the two largest deviations, each relative to
     the largest entry of ``big``'s operator.
@@ -127,8 +129,8 @@ def nesting_defect(small: rom.RomOperators, big: rom.RomOperators) -> float:
         max(
             np.max(np.abs(small.linear - big.linear[:r, :r]))
             / np.max(np.abs(big.linear)),
-            np.max(np.abs(small.quadratic - big.quadratic[:r, :r, :r]))
-            / np.max(np.abs(big.quadratic)),
+            np.max(np.abs(small.symmetric - big.symmetric[:r, :r, :r]))
+            / np.max(np.abs(big.symmetric)),
         )
     )
 

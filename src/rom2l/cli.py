@@ -287,7 +287,7 @@ def _cmd_validate(args) -> int:
 
     r_small, r_big = (min(8, basis.rank), basis.rank) if basis.rank < 25 else (18, 25)
     prob_q = with_parameter(prob, 0.37)
-    ops = rom.assemble_operators(basis, r_big, prob_q)
+    ops = rom.RomWorkspace(basis, r_big, prob.nu).operators(prob_q, r_big)
     telescoping = checks.telescoping_defect(ops, rng.standard_normal(r_small))
     _check(
         "correction telescoping identity",
@@ -295,7 +295,9 @@ def _cmd_validate(args) -> int:
         f"relative defect {telescoping:.2e}",
         results,
     )
-    nest = checks.nesting_defect(rom.assemble_operators(basis, r_small, prob_q), ops)
+    # A workspace of its own at r_small, so that the check can fail.
+    small = rom.RomWorkspace(basis, r_small, prob.nu).operators(prob_q, r_small)
+    nest = checks.nesting_defect(small, ops)
     _check(
         "nested operator blocks",
         nest <= 1e-13,

@@ -1,11 +1,11 @@
 """Quadratic Lagrange finite elements on a uniform 1D mesh.
 
 This module provides the full-order discretization layer: mesh
-construction, nodal interpolation, evaluation at quadrature points,
-assembly, the L2 norm, and the trilinear convection form. Everything
-is built on a 3-point Gauss-Legendre rule, which integrates polynomials
-of degree five exactly and is therefore exact for every product of
-quadratic shape functions and their derivatives that appears below.
+construction, evaluation at quadrature points, assembly, the L2 norm,
+and the trilinear convection form. Everything is built on a 3-point
+Gauss-Legendre rule, which integrates polynomials of degree five exactly
+and is therefore exact for every product of quadratic shape functions
+and their derivatives that appears below.
 
 Element ``e`` of a mesh with ``n_elems`` elements owns the three global
 nodes ``2e``, ``2e + 1``, ``2e + 2`` (vertex, midside, vertex), so a mesh
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -39,8 +38,6 @@ __all__ = [
     "eval_at_quadrature",
     "interior_band",
     "interior_load",
-    "interpolate",
-    "evaluate",
     "l2_norm",
     "trilinear_b",
 ]
@@ -50,24 +47,14 @@ REF_POINTS = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 REF_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
-def _shape(xi: np.ndarray) -> np.ndarray:
-    """Quadratic Lagrange shapes at reference coordinates, shape (n, 3)."""
-    xi = np.asarray(xi, dtype=float)
-    return np.stack(
-        [0.5 * xi * (xi - 1.0), 1.0 - xi * xi, 0.5 * xi * (xi + 1.0)], axis=-1
-    )
-
-
-def _dshape(xi: np.ndarray) -> np.ndarray:
-    """Reference derivatives of the quadratic Lagrange shapes, shape (n, 3)."""
-    xi = np.asarray(xi, dtype=float)
-    return np.stack([xi - 0.5, -2.0 * xi, xi + 0.5], axis=-1)
-
-
-# Shape values and reference derivatives tabulated at the quadrature
-# points: rows are quadrature points, columns are the three local nodes.
-REF_SHAPE = _shape(REF_POINTS)
-REF_DSHAPE = _dshape(REF_POINTS)
+# Values and reference derivatives of the quadratic Lagrange shapes
+# tabulated at the quadrature points: rows are quadrature points, columns
+# are the three local nodes.
+_XI = REF_POINTS[:, None]
+REF_SHAPE = np.hstack(
+    [0.5 * _XI * (_XI - 1.0), 1.0 - _XI * _XI, 0.5 * _XI * (_XI + 1.0)]
+)
+REF_DSHAPE = np.hstack([_XI - 0.5, -2.0 * _XI, _XI + 0.5])
 
 
 # Quadrature-weighted products of test shape l and trial shape m on the
@@ -241,43 +228,6 @@ def interior_load(mesh: Mesh1D, v, d) -> np.ndarray:
     element = (0.5 * mesh.h) * (v @ REF_SHAPE) + d @ REF_DSHAPE
     nodes, _, _ = _scatter_maps(mesh.n_elems)
     return np.bincount(nodes, element.ravel(), minlength=mesh.n_nodes)[1:-1]
-
-
-def interpolate(mesh: Mesh1D, f: Callable[[np.ndarray], np.ndarray]) -> FeFunction:
-    """Nodal interpolant of a scalar function.
-
-    ``f`` may be vectorized over numpy arrays or accept scalars only;
-    a per-point fallback handles the latter.
-    """
-    try:
-        vals = np.asarray(f(mesh.nodes), dtype=float)
-        if vals.shape != mesh.nodes.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([float(f(x)) for x in mesh.nodes])
-    return FeFunction(mesh=mesh, coeffs=vals)
-
-
-def evaluate(u: FeFunction, x: np.ndarray) -> np.ndarray:
-    """Evaluate an FE function at arbitrary points inside its interval.
-
-    Points may lie anywhere in ``[a, b]``; values slightly outside (within
-    1e-12 of the endpoints, e.g. from round-off) are clamped.
-    """
-    mesh = u.mesh
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    tol = 1e-12 * max(abs(mesh.a), abs(mesh.b), 1.0)
-    if xs.min() < mesh.a - tol or xs.max() > mesh.b + tol:
-        raise ValueError(f"points outside mesh interval [{mesh.a}, {mesh.b}]")
-    xc = np.clip(xs, mesh.a, mesh.b)
-    elem = np.minimum(((xc - mesh.a) / mesh.h).astype(int), mesh.n_elems - 1)
-    mids = mesh.a + (elem + 0.5) * mesh.h
-    xi = 2.0 * (xc - mids) / mesh.h
-    local = u.coeffs[element_connectivity(mesh)[elem]]  # (n, 3)
-    vals = np.einsum("nl,nl->n", _shape(xi), local)
-    return vals[0] if scalar else vals
 
 
 def _integral(mesh: Mesh1D, values: np.ndarray) -> float:

@@ -4,7 +4,7 @@ With the reduced solution written as mean plus modal correction,
 ``u = u_mean + sum_j a_j phi_j``, testing the weak form against each
 mode gives a small nonlinear system
 
-    residual(a) = A a + (B : a x a) + b = 0,
+    residual(a) = A a + B : (a x a) + b = 0,
 
 where ``A`` collects the viscous term and the convection terms linear in
 the correction (both couplings with the mean), ``B`` is the third-order
@@ -14,18 +14,23 @@ and convective contributions minus the projected forcing. ``A`` and
 ``B`` depend only on the basis and the viscosity; only ``b`` changes
 with the forcing parameter, which is what makes the online stage cheap.
 
+Only the part of ``B`` symmetric in its last two slots enters, so the
+operators keep the symmetrized tensor ``S = B + B^T`` (transposed in
+its last two slots) in place of ``B``. One contraction ``S a`` gives
+both the quadratic term ``B : (a x a) = (S a) a / 2`` and the quadratic
+part of the Jacobian ``A + S a``, and the two-level correction, the
+system linearized about a padded coarse vector, contracts ``S`` once
+for its matrix and its right-hand side.
+
 :class:`RomWorkspace` precomputes the parameter-independent pieces once
 per basis at the largest dimension of interest. The operators of any
 smaller dimension are leading slice views of its arrays, so one
-precomputation serves every dimension without copies. The workspace
-also holds the symmetrized tensor ``S = B + B^T`` (transposed in its
-last two slots), whose contraction with ``a`` is the whole quadratic
-part of the Jacobian, so a Jacobian costs one contraction instead of
-two. Contractions use ``@``, which passes the strided blocks of a view
-to BLAS as they are; a reshaping contraction would copy them on every
-call. Each cached forcing sample carries its load vector at ``r_max``,
-computed once when the sample is taken, so a request for a cached
-problem slices ``b`` instead of projecting the forcing again.
+precomputation serves every dimension without copies. Contractions use
+``@``, which passes the strided blocks of a view to BLAS as they are; a
+reshaping contraction would copy them on every call. Each cached
+forcing sample carries its load vector at ``r_max``, computed once when
+the sample is taken, so a request for a cached problem slices ``b``
+instead of projecting the forcing again.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .pod import PodBasis
 __all__ = [
     "RomOperators",
     "RomWorkspace",
-    "assemble_operators",
     "residual",
     "jacobian",
     "two_level_matrix_rhs",
@@ -63,16 +67,14 @@ class RomOperators:
         dim: reduced dimension R.
         linear: matrix ``A``, shape (R, R), including the viscous term
             and the mean couplings.
-        quadratic: tensor ``B``, shape (R, R, R); the residual reads it.
-        symmetric: tensor ``S[i, j, k] = B[i, j, k] + B[i, k, j]``,
-            shape (R, R, R); the Jacobian reads it. It must be built
-            from ``quadratic``, as :class:`RomWorkspace` does.
+        symmetric: tensor ``S[i, j, k] = B[i, j, k] + B[i, k, j]`` of
+            the convection tensor ``B``, shape (R, R, R); the residual,
+            the Jacobian and the correction all read it.
         constant: vector ``b``, shape (R,), for the current forcing.
     """
 
     dim: int
     linear: np.ndarray = field(repr=False)
-    quadratic: np.ndarray = field(repr=False)
     symmetric: np.ndarray = field(repr=False)
     constant: np.ndarray = field(repr=False)
 
@@ -95,7 +97,8 @@ class RomWorkspace:
     smaller dimension takes a view of the leading block, so bases are
     nested by construction. The convection tensor ``B`` is assembled
     once per unordered pair of its first two slots, in which it is
-    symmetric, and mirrored into the other half.
+    symmetric, and mirrored into the other half; only its symmetrized
+    form ``S`` is kept.
 
     Args:
         basis: the POD basis.
@@ -133,7 +136,6 @@ class RomWorkspace:
         for i in range(r_max):
             quad[i, i:] = (vals[:, i:] * (wq * vals[:, i])[:, None]).T @ ders
             quad[i + 1:, i] = quad[i, i + 1:]
-        self.quadratic = quad
         self.symmetric = quad + quad.transpose(0, 2, 1)
         # b = nu * (mean', phi_i') + (mean * mean', phi_i) - (f, phi_i);
         # the forcing term is applied per parameter via the load map.
@@ -145,12 +147,6 @@ class RomWorkspace:
         self._ends = (float(basis.mean.coeffs[0]), float(basis.mean.coeffs[-1]))
         # problem -> (forcing at the quadrature points, load vector at r_max)
         self._forcing_cache: dict[BurgersProblem, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _dim(self, r: int | None) -> int:
-        r = self.r_max if r is None else int(r)
-        if not 1 <= r <= self.r_max:
-            raise DimensionError(f"dimension {r} outside [1, {self.r_max}]")
-        return r
 
     def forcing_values(self, prob: BurgersProblem) -> np.ndarray:
         """Forcing sampled at the quadrature points, cached per problem.
@@ -164,13 +160,9 @@ class RomWorkspace:
             vals = forcing_f(prob, self.quad_x)
             if len(self._forcing_cache) >= 8:
                 self._forcing_cache.pop(next(iter(self._forcing_cache)))
-            entry = self._forcing_cache[prob] = (vals, self.load_vector(vals))
+            load = self.constant_base - self.load_map @ vals
+            entry = self._forcing_cache[prob] = (vals, load)
         return entry[0]
-
-    def load_vector(self, f_quad_values: np.ndarray, r: int | None = None) -> np.ndarray:
-        """Constant vector ``b`` for forcing given by its quadrature values."""
-        r = self._dim(r)
-        return self.constant_base[:r] - self.load_map[:r] @ f_quad_values
 
     def operators(self, prob: BurgersProblem, r: int | None = None) -> RomOperators:
         """Reduced operators for one problem instance at dimension ``r``.
@@ -202,25 +194,16 @@ class RomWorkspace:
                 raise MeshMismatch(
                     f"problem has {name}={value}, the basis mean has end value {end}"
                 )
-        r = self._dim(r)
+        r = self.r_max if r is None else int(r)
+        if not 1 <= r <= self.r_max:
+            raise DimensionError(f"dimension {r} outside [1, {self.r_max}]")
         self.forcing_values(prob)  # fills the cache entry on a miss
         return RomOperators(
             dim=r,
             linear=self.linear[:r, :r],
-            quadratic=self.quadratic[:r, :r, :r],
             symmetric=self.symmetric[:r, :r, :r],
             constant=self._forcing_cache[prob][1][:r],
         )
-
-
-def assemble_operators(basis: PodBasis, R: int, prob: BurgersProblem) -> RomOperators:
-    """Assemble the reduced operators of one problem at dimension ``R``.
-
-    Convenience wrapper that builds a throwaway workspace; when many
-    parameters or dimensions share one basis, build a
-    :class:`RomWorkspace` once and reuse it.
-    """
-    return RomWorkspace(basis, R, prob.nu).operators(prob, R)
 
 
 def restrict(ops: RomOperators, r: int) -> RomOperators:
@@ -237,7 +220,6 @@ def restrict(ops: RomOperators, r: int) -> RomOperators:
     return RomOperators(
         dim=r,
         linear=ops.linear[:r, :r],
-        quadratic=ops.quadratic[:r, :r, :r],
         symmetric=ops.symmetric[:r, :r, :r],
         constant=ops.constant[:r],
     )
@@ -253,16 +235,16 @@ def _check_coeffs(ops: RomOperators, a: np.ndarray, name: str = "a") -> np.ndarr
 
 
 def residual(ops: RomOperators, a: np.ndarray) -> np.ndarray:
-    """Nonlinear residual ``A a + B : (a x a) + b``."""
+    """Nonlinear residual ``A a + B : (a x a) + b = A a + (S a) a / 2 + b``."""
     a = _check_coeffs(ops, a)
-    return ops.linear @ a + (ops.quadratic @ a) @ a + ops.constant
+    return ops.linear @ a + 0.5 * (ops.symmetric @ a @ a) + ops.constant
 
 
 def jacobian(ops: RomOperators, a: np.ndarray) -> np.ndarray:
     """Jacobian of the residual: ``A + B(., a, .) + B(., ., a)``.
 
     Both contractions of ``B`` are one contraction of the symmetrized
-    tensor, ``A + S(., ., a)``.
+    tensor, ``A + S a``.
     """
     a = _check_coeffs(ops, a)
     return ops.linear + ops.symmetric @ a
@@ -276,10 +258,10 @@ def two_level_matrix_rhs(
     The coarse solution ``a_r`` (dimension r <= R) is zero-padded to the
     full dimension R of ``ops``; the correction step solves the residual
     linearized about that padded vector. Moving the known quadratic part
-    to the right-hand side gives
+    to the right-hand side gives, with ``Sp = S pad`` contracted once,
 
-        M = A + B(., pad, .) + B(., ., pad)
-        rhs = B : (pad x pad) - b
+        M = A + Sp
+        rhs = B : (pad x pad) - b = (Sp pad) / 2 - b
 
     so ``M`` equals the Newton Jacobian at the padded vector, and if
     ``a_r`` already solves the dimension-R system exactly the solve
@@ -297,6 +279,5 @@ def two_level_matrix_rhs(
         )
     padded = np.zeros(ops.dim)
     padded[: a_r.size] = a_r
-    matrix = jacobian(ops, padded)
-    rhs = (ops.quadratic @ padded) @ padded - ops.constant
-    return matrix, rhs
+    s_pad = ops.symmetric @ padded
+    return ops.linear + s_pad, 0.5 * (s_pad @ padded) - ops.constant

@@ -11,6 +11,7 @@ from rom2l import (
     ExperimentConfig,
     build_mesh,
     compute_pod,
+    fem,
     generate_snapshots,
     parameter_grid,
 )
@@ -49,3 +50,19 @@ def reference_basis(reference_config):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20250819)
+
+
+@pytest.fixture(scope="session")
+def convection_tensor():
+    """Assembler of the convection tensor ``B[i, j, k] = (phi_j * phi_k', phi_i)``
+    of a basis's first ``r`` modes, one full slab per ``i``, built from
+    :func:`fem.eval_at_quadrature` without the workspace under test."""
+
+    def assemble(basis, r):
+        vals, ders = fem.eval_at_quadrature(basis.mesh, basis.modes[:, :r])
+        _, wq = fem.quadrature_points(basis.mesh)
+        return np.stack(
+            [(vals * (wq * vals[:, i])[:, None]).T @ ders for i in range(r)]
+        )
+
+    return assemble

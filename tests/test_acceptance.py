@@ -30,13 +30,7 @@ from rom2l.errors import NoConvergence, SingularJacobian
 from rom2l.fem import FeFunction, l2_norm
 from rom2l.manufactured import exact_u, with_parameter
 from rom2l.pod import lift
-from rom2l.rom import (
-    RomWorkspace,
-    assemble_operators,
-    jacobian,
-    residual,
-    two_level_matrix_rhs,
-)
+from rom2l.rom import RomWorkspace, jacobian, residual, two_level_matrix_rhs
 from rom2l.solvers import one_level_solve
 
 
@@ -62,7 +56,9 @@ def test_01_offline_stage_retains_rank_30(reference_config):
     _report("offline stage", basis.rank == 30 and elapsed < 30.0, detail)
 
 
-def test_02_algebraic_identities(reference_basis, default_problem):
+def test_02_algebraic_identities(
+    reference_basis, default_problem, convection_tensor
+):
     """Structural identities of the convection form and the correction step."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260819)
@@ -71,7 +67,9 @@ def test_02_algebraic_identities(reference_basis, default_problem):
     # Correction matrix: linearization about the zero-padded coarse vector.
     prob_q = with_parameter(default_problem, 0.37)
     big_r, small_r = 25, 18
-    ops = assemble_operators(reference_basis, big_r, prob_q)
+    ops = RomWorkspace(reference_basis, big_r, prob_q.nu).operators(prob_q, big_r)
+    # The loop oracle reads a B assembled here, not the workspace's.
+    B = convection_tensor(reference_basis, big_r)
     a_r = rng.standard_normal(small_r)
     padded = np.zeros(big_r)
     padded[:small_r] = a_r
@@ -84,7 +82,7 @@ def test_02_algebraic_identities(reference_basis, default_problem):
             [
                 ops.linear[i, j]
                 + sum(
-                    padded[k] * (ops.quadratic[i, j, k] + ops.quadratic[i, k, j])
+                    padded[k] * (B[i, j, k] + B[i, k, j])
                     for k in range(big_r)
                 )
                 for j in range(big_r)
@@ -95,7 +93,7 @@ def test_02_algebraic_identities(reference_basis, default_problem):
     oracle_rhs = np.array(
         [
             sum(
-                ops.quadratic[i, j, k] * padded[j] * padded[k]
+                B[i, j, k] * padded[j] * padded[k]
                 for j in range(big_r)
                 for k in range(big_r)
             )
@@ -111,8 +109,12 @@ def test_02_algebraic_identities(reference_basis, default_problem):
     # itself reproduces the nonlinear residual there.
     fp_defect = telescoping_defect(ops, a_r)
 
-    # Nested blocks: the small-dimension operators are leading blocks.
-    nest = nesting_defect(assemble_operators(reference_basis, small_r, prob_q), ops)
+    # Nested blocks: the operators of a separate small-dimension
+    # workspace are leading blocks.
+    small = RomWorkspace(reference_basis, small_r, prob_q.nu).operators(
+        prob_q, small_r
+    )
+    nest = nesting_defect(small, ops)
 
     # Degenerate two-level solve reproduces the one-level solution.
     fixed_point, _ = degenerate_fixed_point(reference_basis, 23, prob_q)
@@ -161,8 +163,9 @@ def test_04_reduced_jacobian_matches_finite_differences(
     prob_q = with_parameter(default_problem, -1.23)
     eps = 1e-6
     worst = 0.0
+    ws = RomWorkspace(reference_basis, 25, prob_q.nu)
     for dim in (5, 15, 25):
-        ops = assemble_operators(reference_basis, dim, prob_q)
+        ops = ws.operators(prob_q, dim)
         for _ in range(10):
             a = rng.standard_normal(dim)
             jac = jacobian(ops, a)

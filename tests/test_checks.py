@@ -28,16 +28,22 @@ def test_integration_by_parts_catches_swapped_convection_arguments(
 
 
 def test_telescoping_catches_a_jacobian_missing_one_contraction(
-    coarse_basis, default_problem, rng, monkeypatch
+    coarse_basis, default_problem, convection_tensor, rng, monkeypatch
 ):
-    ops = rom.assemble_operators(coarse_basis, 12, with_parameter(default_problem, 0.37))
+    prob = with_parameter(default_problem, 0.37)
+    ops = rom.RomWorkspace(coarse_basis, 12, prob.nu).operators(prob, 12)
     a_r = rng.standard_normal(6)
     assert telescoping_defect(ops, a_r) <= BOUND
-    # The correction matrix is built by rom.jacobian, so comparing the two
-    # would read zero; the residual is computed independently of both.
-    monkeypatch.setattr(
-        rom,
-        "jacobian",
-        lambda ops, a: ops.linear + a @ ops.quadratic,
-    )
+    # A correction matrix with only B(., pad, .) of the Jacobian's two
+    # contractions; the residual is computed independently of it.
+    B = convection_tensor(coarse_basis, 12)
+    correct = rom.two_level_matrix_rhs
+
+    def one_contraction(ops, a_r):
+        _, rhs = correct(ops, a_r)
+        padded = np.zeros(ops.dim)
+        padded[: a_r.size] = a_r
+        return ops.linear + padded @ B, rhs
+
+    monkeypatch.setattr(rom, "two_level_matrix_rhs", one_contraction)
     assert telescoping_defect(ops, a_r) > BOUND

@@ -82,8 +82,13 @@ class TestUsageErrors:
         "argv, message",
         [(["offline", "--h", "-1", "--out", "unused.txt"], "must be positive"),
          (["exp1", "--pairs", "4:8", "--q-step", "0"], "must be positive"),
-         (["exp1", "--pairs", "4:8", "--reps", "0"], "must be at least 1")],
-        ids=["offline-h", "exp1-q-step", "exp1-reps"],
+         (["exp1", "--pairs", "4:8", "--reps", "0"], "must be at least 1"),
+         (["offline", "--q-start", "4", "--q-end", "-4", "--out", "unused.txt"],
+          "has no values"),
+         (["exp1", "--pairs", "4:8", "--q-start", "4", "--q-end", "-4"],
+          "has no values")],
+        ids=["offline-h", "exp1-q-step", "exp1-reps", "offline-q-range",
+             "exp1-q-range"],
     )
     def test_invalid_configuration_is_reported(
         self, argv, message, tmp_path, monkeypatch, capsys

@@ -12,10 +12,8 @@ from rom2l.fem import (
     build_mesh,
     element_connectivity,
     eval_at_quadrature,
-    evaluate,
     interior_band,
     interior_load,
-    interpolate,
     l2_norm,
     quadrature_points,
     trilinear_b,
@@ -92,7 +90,8 @@ class TestQuadrature:
         assert np.sum(w) == pytest.approx(8.0, rel=1e-14)
 
     def test_derivative_of_interpolated_quadratic(self, coarse_mesh):
-        p = interpolate(coarse_mesh, lambda x: x**2 - 3.0 * x + 1.0)
+        nodes = coarse_mesh.nodes
+        p = fe_from(coarse_mesh, nodes**2 - 3.0 * nodes + 1.0)
         x, _ = quadrature_points(coarse_mesh)
         vals, ders = eval_at_quadrature(coarse_mesh, p.coeffs)
         np.testing.assert_allclose(vals, x**2 - 3.0 * x + 1.0, atol=1e-12)
@@ -132,10 +131,10 @@ class TestAssembledForms:
     def test_stiffness_annihilates_linears_in_the_interior(self, coarse_mesh):
         # (u', phi_i') = -(u'', phi_i) for interior shapes: zero for a
         # linear u, and -2 (1, phi_i) for u = x^2.
-        u = interpolate(coarse_mesh, lambda x: 2.0 * x - 1.0)
+        u = fe_from(coarse_mesh, 2.0 * coarse_mesh.nodes - 1.0)
         _, du = eval_at_quadrature(coarse_mesh, u.coeffs)
         assert np.max(np.abs(interior_load(coarse_mesh, 0, du))) < 1e-12
-        p = interpolate(coarse_mesh, lambda x: x**2)
+        p = fe_from(coarse_mesh, coarse_mesh.nodes**2)
         _, dp = eval_at_quadrature(coarse_mesh, p.coeffs)
         np.testing.assert_allclose(
             interior_load(coarse_mesh, 0, dp),
@@ -179,20 +178,11 @@ class TestAssembledForms:
 
 
 class TestInterpolationAndNorms:
-    def test_interpolate_hits_nodal_values(self, coarse_mesh):
-        u = interpolate(coarse_mesh, np.sin)
-        np.testing.assert_array_equal(u.coeffs, np.sin(coarse_mesh.nodes))
-
-    def test_interpolate_accepts_scalar_only_callables(self, coarse_mesh):
-        import math
-
-        u = interpolate(coarse_mesh, lambda x: math.cos(x))
-        np.testing.assert_allclose(u.coeffs, np.cos(coarse_mesh.nodes), rtol=1e-15)
-
     def test_quadratic_reproduction(self, coarse_mesh):
         # Quadratics lie in the FE space, so the interpolant matches the
         # function at the quadrature points to rounding.
-        p = interpolate(coarse_mesh, lambda x: 0.5 * x**2 + x - 2.0)
+        nodes = coarse_mesh.nodes
+        p = fe_from(coarse_mesh, 0.5 * nodes**2 + nodes - 2.0)
         x, w = quadrature_points(coarse_mesh)
         vals, _ = eval_at_quadrature(coarse_mesh, p.coeffs)
         defect = np.sqrt(np.sum(w * (vals - (0.5 * x**2 + x - 2.0)) ** 2))
@@ -203,24 +193,8 @@ class TestInterpolationAndNorms:
         # || sin(pi x) ||_{L2(0,1)} = 1/sqrt(2); the interpolation error
         # at h = 1/50 is far below the assertion tolerance.
         mesh = build_mesh(0.0, 1.0, 0.02)
-        u = interpolate(mesh, lambda x: np.sin(np.pi * x))
+        u = fe_from(mesh, np.sin(np.pi * mesh.nodes))
         assert l2_norm(u) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-6)
-
-    def test_evaluate_at_nodes_returns_coefficients(self, coarse_mesh, rng):
-        u = random_fe(coarse_mesh, rng)
-        np.testing.assert_allclose(
-            evaluate(u, coarse_mesh.nodes), u.coeffs, atol=1e-12
-        )
-
-    def test_evaluate_rejects_outside_points(self, coarse_mesh, rng):
-        u = random_fe(coarse_mesh, rng)
-        with pytest.raises(ValueError):
-            evaluate(u, np.array([4.5]))
-
-    def test_evaluate_scalar_input(self, coarse_mesh):
-        u = interpolate(coarse_mesh, lambda x: x)
-        assert evaluate(u, 0.3) == pytest.approx(0.3, abs=1e-13)
-
 
 class TestTrilinearForm:
     def test_hand_computed_value(self):
@@ -228,15 +202,15 @@ class TestTrilinearForm:
         # integral of x * 2x * 1 = 2/3, exactly representable and
         # exactly integrated.
         mesh = build_mesh(0.0, 1.0, 1.0)
-        u = interpolate(mesh, lambda x: x)
-        v = interpolate(mesh, lambda x: x**2)
-        w = interpolate(mesh, lambda x: np.ones_like(x))
+        u = fe_from(mesh, mesh.nodes)
+        v = fe_from(mesh, mesh.nodes**2)
+        w = fe_from(mesh, np.ones(mesh.n_nodes))
         assert trilinear_b(u, v, w) == pytest.approx(2.0 / 3.0, rel=1e-14)
 
     def test_mesh_mismatch_is_rejected(self, coarse_mesh):
         other = build_mesh(-4.0, 4.0, 0.5)
-        u = interpolate(coarse_mesh, np.sin)
-        v = interpolate(other, np.sin)
+        u = fe_from(coarse_mesh, np.sin(coarse_mesh.nodes))
+        v = fe_from(other, np.sin(other.nodes))
         with pytest.raises(MeshMismatch):
             trilinear_b(u, v, v)
 

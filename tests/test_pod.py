@@ -9,7 +9,7 @@ import pytest
 
 from rom2l.checks import orthonormality_defect
 from rom2l.errors import BadBasisFile, DegenerateSnapshots, DimensionError
-from rom2l.fem import FeFunction, interior_band, interpolate, l2_norm
+from rom2l.fem import FeFunction, interior_band, l2_norm
 from rom2l.manufactured import exact_u, with_parameter
 from rom2l.pod import (
     SnapshotSet,
@@ -137,9 +137,11 @@ class TestProjectAndLift:
             [
                 project(
                     coarse_basis,
-                    interpolate(
-                        coarse_mesh,
-                        lambda x: exact_u(with_parameter(default_problem, q), x),
+                    FeFunction(
+                        mesh=coarse_mesh,
+                        coeffs=exact_u(
+                            with_parameter(default_problem, q), coarse_mesh.nodes
+                        ),
                     ),
                     r,
                 )
@@ -159,9 +161,9 @@ class TestProjectAndLift:
         sv = coarse_basis.singular_values
         total = 0.0
         for q in parameter_grid(-4.0, 4.0, 0.5):
-            u = interpolate(
-                coarse_mesh,
-                lambda x: exact_u(with_parameter(default_problem, q), x),
+            u = FeFunction(
+                mesh=coarse_mesh,
+                coeffs=exact_u(with_parameter(default_problem, q), coarse_mesh.nodes),
             )
             total += reconstruction_error(coarse_basis, u, r) ** 2
         expected = float(np.sum(sv[r:] ** 2))
@@ -189,8 +191,9 @@ class TestProjectAndLift:
     def test_full_rank_reconstruction_of_member_snapshots(
         self, default_problem, coarse_basis, coarse_mesh
     ):
-        u = interpolate(
-            coarse_mesh, lambda x: exact_u(with_parameter(default_problem, -1.5), x)
+        u = FeFunction(
+            mesh=coarse_mesh,
+            coeffs=exact_u(with_parameter(default_problem, -1.5), coarse_mesh.nodes),
         )
         err = reconstruction_error(coarse_basis, u, coarse_basis.rank)
         assert err / l2_norm(u) < 1e-6

@@ -24,7 +24,6 @@ from rom2l.manufactured import BurgersProblem, forcing_f, with_parameter
 from rom2l.rom import (
     RomOperators,
     RomWorkspace,
-    assemble_operators,
     jacobian,
     residual,
     restrict,
@@ -82,6 +81,12 @@ def oracle_quadrature(mesh, coeff_columns, f_values, nu, n_points=8):
     return lin, quad, const
 
 
+@pytest.fixture(scope="module")
+def workspace(coarse_basis):
+    """One workspace at the full coarse rank; each dimension is a view of it."""
+    return RomWorkspace(coarse_basis, coarse_basis.rank, coarse_basis.problem.nu)
+
+
 def central_differences(fun, x, eps=1e-6):
     """Jacobian of ``fun`` at ``x`` by central differences, column by column."""
     columns = []
@@ -100,9 +105,9 @@ class TestOperatorAssembly:
         # comparison is rounding-tight.
         prob = with_parameter(coarse_basis.problem, 0.5)
         poly = lambda x: 0.3 * x**3 - x + 2.0
-        ops = assemble_operators(coarse_basis, 2, prob)
         ws = RomWorkspace(coarse_basis, 2, prob.nu)
-        b_poly = ws.load_vector(poly(ws.quad_x), 2)
+        ops = ws.operators(prob, 2)
+        b_poly = ws.constant_base - ws.load_map @ poly(ws.quad_x)
         columns = np.column_stack(
             [coarse_basis.mean.coeffs, coarse_basis.modes[:, :2]]
         )
@@ -110,28 +115,33 @@ class TestOperatorAssembly:
             coarse_basis.mesh, columns, poly, prob.nu
         )
         np.testing.assert_allclose(ops.linear, lin, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ops.quadratic, quad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            ops.symmetric, quad + quad.transpose(0, 2, 1), rtol=0, atol=1e-12
+        )
         np.testing.assert_allclose(b_poly, const, rtol=0, atol=1e-12)
 
-    def test_quadratic_tensor_cyclic_identity(self, coarse_basis, default_problem):
+    def test_quadratic_tensor_cyclic_identity(self, workspace, default_problem):
         # For zero-boundary modes the product rule gives
         # B[i,j,k] + B[i,k,j] + B[j,k,i] = 0: the integrands sum to
         # (phi_i phi_j phi_k)', a degree-five polynomial integrated
-        # exactly, and the boundary term vanishes.
-        ops = assemble_operators(coarse_basis, 5, default_problem)
-        B = ops.quadratic
-        total = B + np.transpose(B, (0, 2, 1)) + np.transpose(B, (2, 0, 1))
-        assert np.max(np.abs(total)) <= 1e-13 * np.max(np.abs(B))
+        # exactly, and the boundary term vanishes. So S[i,j,k] = -B[j,k,i],
+        # and with B symmetric in its first two slots
+        # S[i,j,k] + S[j,k,i] + S[k,i,j] = 0.
+        S = workspace.operators(default_problem, 5).symmetric
+        total = S + np.transpose(S, (1, 2, 0)) + np.transpose(S, (2, 0, 1))
+        assert np.max(np.abs(total)) <= 1e-13 * np.max(np.abs(S))
 
     def test_nested_blocks(self, coarse_basis, default_problem):
-        small = assemble_operators(coarse_basis, 3, default_problem)
-        big = assemble_operators(coarse_basis, 7, default_problem)
+        # Two workspaces assembled apart, so that the blocks can differ.
+        nu = default_problem.nu
+        small = RomWorkspace(coarse_basis, 3, nu).operators(default_problem, 3)
+        big = RomWorkspace(coarse_basis, 7, nu).operators(default_problem, 7)
         scale = np.max(np.abs(big.linear))
         assert np.max(np.abs(small.linear - big.linear[:3, :3])) <= 1e-13 * scale
-        scale_b = np.max(np.abs(big.quadratic))
+        scale_s = np.max(np.abs(big.symmetric))
         assert (
-            np.max(np.abs(small.quadratic - big.quadratic[:3, :3, :3]))
-            <= 1e-13 * scale_b
+            np.max(np.abs(small.symmetric - big.symmetric[:3, :3, :3]))
+            <= 1e-13 * scale_s
         )
         np.testing.assert_allclose(
             small.constant, big.constant[:3], rtol=0, atol=1e-13 * scale
@@ -139,19 +149,17 @@ class TestOperatorAssembly:
 
 
 class TestResidualAndJacobian:
-    def test_residual_at_zero_is_the_constant_term(
-        self, coarse_basis, default_problem
-    ):
-        ops = assemble_operators(coarse_basis, 6, default_problem)
+    def test_residual_at_zero_is_the_constant_term(self, workspace, default_problem):
+        ops = workspace.operators(default_problem, 6)
         np.testing.assert_array_equal(residual(ops, np.zeros(6)), ops.constant)
 
-    def test_matches_full_order_weak_residual(self, coarse_basis, rng):
+    def test_matches_full_order_weak_residual(self, coarse_basis, workspace, rng):
         # The reduced residual at a must equal the modal projection of
         # the full-order weak residual of the lifted function. This
         # exercises operators, lifting corrections, and forcing at once.
         prob = with_parameter(coarse_basis.problem, -0.75)
         r = 4
-        ops = assemble_operators(coarse_basis, r, prob)
+        ops = workspace.operators(prob, r)
         a = rng.standard_normal(r)
         reduced = residual(ops, a)
 
@@ -167,9 +175,9 @@ class TestResidualAndJacobian:
         scale = max(1.0, float(np.max(np.abs(full))))
         np.testing.assert_allclose(reduced, full, rtol=0, atol=1e-11 * scale)
 
-    def test_jacobian_against_central_differences(self, coarse_basis, rng):
+    def test_jacobian_against_central_differences(self, coarse_basis, workspace, rng):
         prob = with_parameter(coarse_basis.problem, 0.9)
-        ops = assemble_operators(coarse_basis, 6, prob)
+        ops = workspace.operators(prob, 6)
         a = rng.standard_normal(6)
         jac = jacobian(ops, a)
         fd = central_differences(lambda x: residual(ops, x), a)
@@ -177,16 +185,14 @@ class TestResidualAndJacobian:
         assert defect <= 1e-8
 
     def test_jacobian_of_a_strided_nonsymmetric_tensor(self, rng):
-        # A random B has no symmetry in its last two slots, so each of the
-        # two contractions must be the right one; as the leading block of
-        # a larger tensor it is a non-contiguous view, like the
-        # workspace's operators below r_max.
+        # S of a random B, which has no symmetry in its first two slots;
+        # as the leading block of a larger tensor it is a non-contiguous
+        # view, like the workspace's operators below r_max.
         big = rng.standard_normal((7, 7, 7))
         big_sym = big + big.transpose(0, 2, 1)
         view = RomOperators(
             dim=5,
             linear=rng.standard_normal((5, 5)),
-            quadratic=big[:5, :5, :5],
             symmetric=big_sym[:5, :5, :5],
             constant=rng.standard_normal(5),
         )
@@ -194,7 +200,6 @@ class TestResidualAndJacobian:
         copy = RomOperators(
             dim=5,
             linear=view.linear,
-            quadratic=np.ascontiguousarray(view.quadratic),
             symmetric=np.ascontiguousarray(view.symmetric),
             constant=view.constant,
         )
@@ -204,17 +209,19 @@ class TestResidualAndJacobian:
         fd = central_differences(lambda x: residual(view, x), a)
         assert np.linalg.norm(jac - fd) / np.linalg.norm(jac) <= 1e-8
 
-    def test_taylor_expansion_is_exact(self, coarse_basis, default_problem, rng):
+    def test_taylor_expansion_is_exact(
+        self, coarse_basis, workspace, default_problem, convection_tensor, rng
+    ):
         # The residual is quadratic, so
         # residual(a + d) - residual(a) - J(a) d = B : (d x d) exactly.
-        ops = assemble_operators(coarse_basis, 5, default_problem)
+        ops = workspace.operators(default_problem, 5)
         a, d = rng.standard_normal(5), rng.standard_normal(5)
         lhs = residual(ops, a + d) - residual(ops, a) - jacobian(ops, a) @ d
-        rhs = (ops.quadratic @ d) @ d
+        rhs = (convection_tensor(coarse_basis, 5) @ d) @ d
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
-    def test_dimension_checks(self, coarse_basis, default_problem):
-        ops = assemble_operators(coarse_basis, 4, default_problem)
+    def test_dimension_checks(self, workspace, default_problem):
+        ops = workspace.operators(default_problem, 4)
         with pytest.raises(DimensionError):
             residual(ops, np.zeros(5))
         with pytest.raises(DimensionError):
@@ -222,16 +229,16 @@ class TestResidualAndJacobian:
 
 
 class TestTwoLevelSystem:
-    def test_zero_coarse_solution(self, coarse_basis, default_problem):
-        ops = assemble_operators(coarse_basis, 6, default_problem)
+    def test_zero_coarse_solution(self, workspace, default_problem):
+        ops = workspace.operators(default_problem, 6)
         matrix, rhs = two_level_matrix_rhs(ops, np.zeros(3))
         np.testing.assert_array_equal(matrix, ops.linear)
         np.testing.assert_array_equal(rhs, -ops.constant)
 
     def test_matrix_is_the_jacobian_at_the_padded_point(
-        self, coarse_basis, default_problem, rng
+        self, workspace, default_problem, rng
     ):
-        ops = assemble_operators(coarse_basis, 7, default_problem)
+        ops = workspace.operators(default_problem, 7)
         a_r = rng.standard_normal(3)
         matrix, rhs = two_level_matrix_rhs(ops, a_r)
         padded = np.zeros(7)
@@ -247,8 +254,8 @@ class TestTwoLevelSystem:
             atol=1e-12 * np.max(np.abs(ops.constant)),
         )
 
-    def test_rejects_oversized_coarse_vectors(self, coarse_basis, default_problem):
-        ops = assemble_operators(coarse_basis, 4, default_problem)
+    def test_rejects_oversized_coarse_vectors(self, workspace, default_problem):
+        ops = workspace.operators(default_problem, 4)
         with pytest.raises(DimensionError):
             two_level_matrix_rhs(ops, np.zeros(5))
 
@@ -258,9 +265,7 @@ class TestWorkspace:
         ws = RomWorkspace(coarse_basis, 8, default_problem.nu)
         ops = ws.operators(default_problem, 5)
         assert np.shares_memory(ops.linear, ws.linear)
-        assert np.shares_memory(ops.quadratic, ws.quadratic)
         np.testing.assert_array_equal(ops.linear, ws.linear[:5, :5])
-        np.testing.assert_array_equal(ops.quadratic, ws.quadratic[:5, :5, :5])
         assert np.shares_memory(ops.symmetric, ws.symmetric)
         np.testing.assert_array_equal(ops.symmetric, ws.symmetric[:5, :5, :5])
         small = restrict(ops, 3)
@@ -268,29 +273,24 @@ class TestWorkspace:
         np.testing.assert_array_equal(small.symmetric, ws.symmetric[:3, :3, :3])
 
     def test_symmetric_tensor_is_b_plus_its_slot_transpose(
-        self, coarse_basis, default_problem
+        self, coarse_basis, default_problem, convection_tensor
     ):
-        ws = RomWorkspace(coarse_basis, 8, default_problem.nu)
-        np.testing.assert_array_equal(
-            ws.symmetric, ws.quadratic + ws.quadratic.transpose(0, 2, 1)
-        )
+        # B in full slabs, not with the workspace's mirrored half.
+        r = coarse_basis.rank
+        S = RomWorkspace(coarse_basis, r, default_problem.nu).symmetric
+        B = convection_tensor(coarse_basis, r)
+        expected = B + B.transpose(0, 2, 1)
+        assert np.max(np.abs(S - expected)) <= 1e-13 * np.max(np.abs(expected))
+        np.testing.assert_array_equal(S, S.transpose(0, 2, 1))
 
     def test_quadratic_tensor_is_symmetric_in_its_first_two_slots(
-        self, coarse_basis, default_problem
+        self, coarse_basis, convection_tensor
     ):
-        r = coarse_basis.rank
-        ws = RomWorkspace(coarse_basis, r, default_problem.nu)
-        B = ws.quadratic
-        np.testing.assert_array_equal(B, B.transpose(1, 0, 2))
-        # Every slab in full, as assembled before the mirrored half was
-        # dropped.
-        mesh = coarse_basis.mesh
-        vals, ders = fem.eval_at_quadrature(mesh, coarse_basis.modes)
-        _, wq = fem.quadrature_points(mesh)
-        slabs = np.stack(
-            [(vals * (wq * vals[:, i])[:, None]).T @ ders for i in range(r)]
-        )
-        assert np.max(np.abs(B - slabs)) <= 1e-13 * np.max(np.abs(slabs))
+        # The workspace assembles B once per unordered pair of its first
+        # two slots and mirrors the other half, which the full slabs
+        # justify.
+        B = convection_tensor(coarse_basis, coarse_basis.rank)
+        assert np.max(np.abs(B - B.transpose(1, 0, 2))) <= 1e-13 * np.max(np.abs(B))
 
     def test_constant_is_the_cached_load_vector(self, coarse_basis, default_problem):
         ws = RomWorkspace(coarse_basis, 8, default_problem.nu)

@@ -33,7 +33,6 @@ def toy_ops(linear, quadratic, constant):
     return RomOperators(
         dim=dim,
         linear=linear,
-        quadratic=quadratic,
         symmetric=quadratic + quadratic.transpose(0, 2, 1),
         constant=np.asarray(constant, dtype=float).reshape(dim),
     )
@@ -266,11 +265,10 @@ class TestTwoLevelSolve:
             two_level_solve(coarse_basis, 9, 8, default_problem, "avg")
 
     def test_singular_correction_jacobian(self, coarse_basis, default_problem):
-        # Rows 4.. of A zero and B zero: stage 1 at r = 4 is a regular
+        # Rows 4.. of A zero and S zero: stage 1 at r = 4 is a regular
         # linear solve, but the Jacobian at the padded vector is singular.
         ws = RomWorkspace(coarse_basis, 8, default_problem.nu)
         ws.linear[4:, :] = 0.0
-        ws.quadratic[:] = 0.0
         ws.symmetric[:] = 0.0
         with pytest.raises(SingularJacobian, match="correction"):
             two_level_solve(
