@@ -18,9 +18,11 @@ Only the part of ``B`` symmetric in its last two slots enters, so the
 operators keep the symmetrized tensor ``S = B + B^T`` (transposed in
 its last two slots) in place of ``B``. One contraction ``S a`` gives
 both the quadratic term ``B : (a x a) = (S a) a / 2`` and the quadratic
-part of the Jacobian ``A + S a``, and the two-level correction, the
-system linearized about a padded coarse vector, contracts ``S`` once
-for its matrix and its right-hand side.
+part of the Jacobian ``A + S a``: :func:`residual` and :func:`jacobian`
+accept it from a caller that holds it, so a Newton iterate contracts
+``S`` once for both. The two-level correction, the system linearized
+about a padded coarse vector, likewise contracts ``S`` once for its
+matrix and its right-hand side.
 
 :class:`RomWorkspace` precomputes the parameter-independent pieces once
 per basis at the largest dimension of interest. The operators of any
@@ -234,20 +236,34 @@ def _check_coeffs(ops: RomOperators, a: np.ndarray, name: str = "a") -> np.ndarr
     return a
 
 
-def residual(ops: RomOperators, a: np.ndarray) -> np.ndarray:
-    """Nonlinear residual ``A a + B : (a x a) + b = A a + (S a) a / 2 + b``."""
-    a = _check_coeffs(ops, a)
-    return ops.linear @ a + 0.5 * (ops.symmetric @ a @ a) + ops.constant
+def residual(
+    ops: RomOperators, a: np.ndarray, sa: np.ndarray | None = None
+) -> np.ndarray:
+    """Nonlinear residual ``A a + B : (a x a) + b = A a + (S a) a / 2 + b``.
+
+    ``sa`` is the contraction ``S a`` when the caller already holds it,
+    as the Newton iteration does for the Jacobian at the same iterate;
+    then ``a`` is taken as given, a float vector of length ``ops.dim``.
+    Without it ``a`` is checked and contracted here.
+    """
+    if sa is None:
+        a = _check_coeffs(ops, a)
+        sa = ops.symmetric @ a
+    return ops.linear @ a + 0.5 * (sa @ a) + ops.constant
 
 
-def jacobian(ops: RomOperators, a: np.ndarray) -> np.ndarray:
+def jacobian(
+    ops: RomOperators, a: np.ndarray, sa: np.ndarray | None = None
+) -> np.ndarray:
     """Jacobian of the residual: ``A + B(., a, .) + B(., ., a)``.
 
     Both contractions of ``B`` are one contraction of the symmetrized
-    tensor, ``A + S a``.
+    tensor, ``A + S a``. ``sa`` is that contraction when the caller
+    already holds it, as for :func:`residual`; ``a`` is then not read.
     """
-    a = _check_coeffs(ops, a)
-    return ops.linear + ops.symmetric @ a
+    if sa is None:
+        sa = ops.symmetric @ _check_coeffs(ops, a)
+    return ops.linear + sa
 
 
 def two_level_matrix_rhs(

@@ -16,6 +16,7 @@ structure of the quadratic-element Jacobian with a banded factorization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,9 @@ def newton_solve(
 ) -> SolveOutcome:
     """Solve the reduced nonlinear system by Newton's method.
 
+    Each iterate contracts ``S a`` once and hands it to both
+    :func:`rom.residual` and :func:`rom.jacobian`.
+
     Args:
         ops: reduced operators defining residual and Jacobian.
         a0: starting coefficients, length ``ops.dim``.
@@ -107,14 +111,11 @@ def newton_solve(
         raise DimensionError(
             f"start vector has shape {a.shape}, operators have dimension {ops.dim}"
         )
-    return _newton(
-        a,
-        lambda a: (rom.residual(ops, a), rom.jacobian(ops, a)),
-        _solve_dense,
-        slice(None),
-        cfg,
-        "",
-    )
+    def linearize(a):
+        sa = ops.symmetric @ a
+        return rom.residual(ops, a, sa), rom.jacobian(ops, a, sa)
+
+    return _newton(a, linearize, _solve_dense, a, cfg, "")
 
 
 def _solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -133,15 +134,22 @@ def _newton(x, linearize, solve, free, cfg: NewtonConfig, what: str) -> SolveOut
     """Newton iteration shared by the reduced and full-order solvers.
 
     ``linearize(x)`` returns the residual and the Jacobian at ``x``,
-    ``solve(J, res)`` the Newton step, which updates ``x[free]``.
+    ``solve(J, res)`` the Newton step. ``free`` is the view of ``x`` the
+    step updates: ``x`` itself, or its interior when the boundary values
+    are fixed. The update is in place, so ``x`` must be an array the
+    caller hands over; the outcome and a ``NoConvergence`` carry it.
     ``what`` qualifies the Jacobian and convergence in error messages.
+
+    Norms are ``sqrt(v @ v)``, which is how NumPy computes the 2-norm of
+    a vector, so the stopping rule reads the same numbers without the
+    call overhead of ``np.linalg.norm``.
     """
     history: list[float] = []
     for steps in range(cfg.max_iter + 1):
         res, jac = linearize(x)
-        res_norm = float(np.linalg.norm(res))
+        res_norm = math.sqrt(res @ res)
         history.append(res_norm)
-        if not np.isfinite(res_norm):
+        if not math.isfinite(res_norm):
             raise NoConvergence(
                 f"residual went non-finite after {steps} steps", x, res_norm
             )
@@ -151,7 +159,7 @@ def _newton(x, linearize, solve, free, cfg: NewtonConfig, what: str) -> SolveOut
             raise SingularJacobian(
                 f"singular {what}Jacobian at iteration {steps}"
             ) from exc
-        if res_norm <= cfg.tol_residual and np.linalg.norm(step) <= cfg.tol_step:
+        if res_norm <= cfg.tol_residual and math.sqrt(step @ step) <= cfg.tol_step:
             return SolveOutcome(
                 coeffs=x,
                 iterations=steps,
@@ -165,8 +173,7 @@ def _newton(x, linearize, solve, free, cfg: NewtonConfig, what: str) -> SolveOut
                 x,
                 res_norm,
             )
-        x = x.copy()
-        x[free] -= step
+        free -= step
     raise AssertionError("unreachable")
 
 
@@ -191,7 +198,8 @@ def make_guess(kind: str, r: int) -> np.ndarray:
     if r < 2:
         raise DimensionError(f"guess kind {kind!r} needs r >= 2, got {r}")
     g = np.zeros(r)
-    g[: r - 2] = (-1.0) ** np.arange(r - 2)
+    g[: r - 2 : 2] = 1.0
+    g[1 : r - 2 : 2] = -1.0
     return g if kind == "ug" else 0.5 * g
 
 
@@ -330,7 +338,7 @@ def fom_solve(
         u,
         lambda u: _fom_residual_jacobian(mesh, prob, u, f_quad),
         lambda band, res: sla.solve_banded((2, 2), band, res),
-        slice(1, -1),
+        u[1:-1],
         cfg,
         "full-order ",
     )

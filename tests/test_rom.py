@@ -209,6 +209,29 @@ class TestResidualAndJacobian:
         fd = central_differences(lambda x: residual(view, x), a)
         assert np.linalg.norm(jac - fd) / np.linalg.norm(jac) <= 1e-8
 
+    def test_held_contraction_gives_the_same_residual_and_jacobian(
+        self, workspace, default_problem, rng
+    ):
+        # The Newton iteration hands in ``S a`` it already holds; the
+        # result must equal the self-contracting form bit for bit, here
+        # on a workspace view below r_max and on the strided leading
+        # block of a tensor with no symmetry in its first two slots.
+        big = rng.standard_normal((7, 7, 7))
+        strided = RomOperators(
+            dim=5,
+            linear=rng.standard_normal((5, 5)),
+            symmetric=(big + big.transpose(0, 2, 1))[:5, :5, :5],
+            constant=rng.standard_normal(5),
+        )
+        view = workspace.operators(default_problem, 4)
+        assert not strided.symmetric.flags.c_contiguous
+        assert not view.symmetric.flags.c_contiguous
+        for ops in (view, strided):
+            a = rng.standard_normal(ops.dim)
+            sa = ops.symmetric @ a
+            np.testing.assert_array_equal(residual(ops, a, sa), residual(ops, a))
+            np.testing.assert_array_equal(jacobian(ops, a, sa), jacobian(ops, a))
+
     def test_taylor_expansion_is_exact(
         self, coarse_basis, workspace, default_problem, convection_tensor, rng
     ):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgesv
 
 from rom2l.errors import (
     DimensionError,
@@ -145,6 +148,65 @@ class TestNewtonSolve:
             newton_solve(ops, np.zeros(3))
 
 
+class _CountingTensor(np.ndarray):
+    """Array that counts its ``@`` contractions; the products are plain arrays."""
+
+    matmuls = 0
+
+    def __matmul__(self, other):
+        type(self).matmuls += 1
+        return np.asarray(self) @ other
+
+
+def _reference_newton(ops, a0, cfg=NewtonConfig()):
+    """Newton iteration written from the formulas, one contraction of
+    ``S`` in the residual and one in the Jacobian, with NumPy norms and
+    a fresh iterate per step; returns coefficients, applied steps and
+    the residual history."""
+    a, history = np.array(a0, dtype=float), []
+    for steps in range(cfg.max_iter + 1):
+        res = ops.linear @ a + 0.5 * (ops.symmetric @ a @ a) + ops.constant
+        jac = ops.linear + ops.symmetric @ a
+        res_norm = float(np.linalg.norm(res))
+        history.append(res_norm)
+        step = dgesv(jac, res)[2]
+        if res_norm <= cfg.tol_residual and np.linalg.norm(step) <= cfg.tol_step:
+            return a, steps, tuple(history)
+        a = a - step
+    raise AssertionError("reference Newton did not converge")
+
+
+class TestNewtonKernel:
+    def test_one_contraction_per_evaluated_iterate(
+        self, coarse_basis, default_problem
+    ):
+        ops = RomWorkspace(coarse_basis, 8, default_problem.nu).operators(
+            with_parameter(default_problem, 0.7), 8
+        )
+        counted = replace(ops, symmetric=ops.symmetric.view(_CountingTensor))
+        _CountingTensor.matmuls = 0
+        out = newton_solve(counted, make_guess("ug", 8))
+        assert out.iterations >= 3
+        # The converged iterate is evaluated too, without a step applied.
+        assert _CountingTensor.matmuls == out.iterations + 1
+
+    @pytest.mark.parametrize("guess", ["ug", "ig", "avg"])
+    @pytest.mark.parametrize("q", [-2.5, 0.37, 3.0])
+    def test_matches_the_formula_bit_for_bit(
+        self, coarse_basis, default_problem, guess, q
+    ):
+        ops = RomWorkspace(coarse_basis, 8, default_problem.nu).operators(
+            with_parameter(default_problem, q), 7
+        )
+        a0 = make_guess(guess, 7)
+        coeffs, steps, history = _reference_newton(ops, a0)
+        out = newton_solve(ops, a0)
+        assert out.iterations == steps
+        assert out.residual_history == history
+        np.testing.assert_array_equal(out.coeffs, coeffs)
+        np.testing.assert_array_equal(a0, make_guess(guess, 7))
+
+
 class TestMakeGuess:
     def test_alternating_guess(self):
         np.testing.assert_array_equal(
@@ -162,6 +224,12 @@ class TestMakeGuess:
 
     def test_case_insensitive(self):
         np.testing.assert_array_equal(make_guess("UG", 5), make_guess("ug", 5))
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 7, 12, 23, 30])
+    def test_alternating_pattern_is_exact(self, r):
+        expected = np.zeros(r)
+        expected[: r - 2] = (-1.0) ** np.arange(r - 2)
+        np.testing.assert_array_equal(make_guess("ug", r), expected)
 
     def test_too_short_for_alternating(self):
         with pytest.raises(DimensionError):
