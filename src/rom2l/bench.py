@@ -435,8 +435,8 @@ def report_from_dict(data: dict) -> ExperimentReport:
         raise ValueError("not a benchmark report dictionary")
     rows = []
     for rd in data["rows"]:
-        records = tuple(QRecord(**r) for r in rd.pop("records", []))
-        rows.append(ExperimentRow(records=records, **rd))
+        records = tuple(QRecord(**r) for r in rd["records"])
+        rows.append(ExperimentRow(**{**rd, "records": records}))
     return ExperimentReport(rows=tuple(rows), metadata=data["metadata"])
 
 

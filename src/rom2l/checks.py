@@ -1,7 +1,8 @@
-"""Property checks shared by ``rom2l validate`` and the acceptance suite.
+"""Property checks of ``rom2l validate`` and the acceptance suite.
 
-Each function makes one measurement and returns raw numbers; the caller
-decides which bound they must meet.
+:func:`run_checks` holds each measurement below to its bound, a constant
+of this module. Tests call the measurements directly to show that each
+check can fail.
 """
 
 from __future__ import annotations
@@ -9,10 +10,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import fem, pod, rom, solvers
-from .manufactured import BurgersProblem, exact_u
+from .manufactured import BurgersProblem, exact_u, with_parameter
 from .pod import PodBasis
 
 __all__ = [
+    "ORDER_MIN",
+    "ACCURACY_MAX",
+    "ORTHONORMALITY_MAX",
+    "IDENTITY_MAX",
+    "NESTING_MAX",
+    "FIXED_POINT_MAX",
+    "REFERENCE_RANK",
+    "run_checks",
     "fom_convergence",
     "orthonormality_defect",
     "convection_defects",
@@ -20,6 +29,88 @@ __all__ = [
     "nesting_defect",
     "degenerate_fixed_point",
 ]
+
+# The bounds of run_checks; no other module or test repeats them.
+ORDER_MIN = 2.7  # least observed full-order L2 convergence order
+ACCURACY_MAX = 1e-6  # largest full-order L2 error at h = 1/200
+ORTHONORMALITY_MAX = 1e-10  # largest entry of |Phi^T M Phi - I|
+IDENTITY_MAX = 1e-12  # convection identities and telescoping, relative
+NESTING_MAX = 1e-13  # nested operator blocks, relative
+FIXED_POINT_MAX = 1e-8  # degenerate two-level solve, relative distance
+REFERENCE_RANK = 30  # POD rank retained on the reference configuration
+
+
+def run_checks(
+    prob: BurgersProblem, basis: PodBasis, expected_rank: int | None = None
+) -> list[tuple[str, bool, str]]:
+    """The checks of ``rom2l validate`` on ``prob`` and ``basis``, in order,
+    as ``(name, passed, detail line)``; the POD rank only against a given
+    ``expected_rank``. Operator checks take ``q = 0.37`` and a fixed seed."""
+    results = []
+
+    def check(name: str, ok, detail: str) -> None:
+        results.append((name, bool(ok), detail))
+
+    orders, err = fom_convergence(prob)
+    check(
+        "full-order convergence",
+        min(orders) >= ORDER_MIN,
+        f"observed orders {orders[0]:.2f}, {orders[1]:.2f} (need >= {ORDER_MIN})",
+    )
+    need = f"{ACCURACY_MAX:.0e}".replace("e-0", "e-")  # no zero-padded exponent
+    check(
+        "full-order accuracy",
+        err <= ACCURACY_MAX,
+        f"L2 error {err:.3e} at h=1/200 (need <= {need})",
+    )
+    if expected_rank is not None:
+        check(
+            "POD rank",
+            basis.rank == expected_rank,
+            f"retained rank {basis.rank} (expected {expected_rank})",
+        )
+    ortho = orthonormality_defect(basis)
+    check(
+        "POD orthonormality",
+        ortho <= ORTHONORMALITY_MAX,
+        f"max |Phi^T M Phi - I| {ortho:.2e} in the mass inner product, "
+        f"rank {basis.rank}",
+    )
+
+    rng = np.random.default_rng(20240817)
+    parts, split = convection_defects(basis.mesh, rng)
+    check(
+        "integration-by-parts identity",
+        parts <= IDENTITY_MAX,
+        f"max relative defect {parts:.2e} over 100 draws",
+    )
+    check(
+        "trilinear splitting identity",
+        split <= IDENTITY_MAX,
+        f"max relative defect {split:.2e} over 100 draws",
+    )
+
+    # r_small < r_big once rank >= 2, so nesting compares two assemblies.
+    r_big = min(25, basis.rank)
+    r_small = 18 if r_big == 25 else max(1, min(8, r_big - 1))
+    prob_q = with_parameter(prob, 0.37)
+    big = rom.RomWorkspace(basis, r_big, prob.nu).operators(prob_q, r_big)
+    small = rom.RomWorkspace(basis, r_small, prob.nu).operators(prob_q, r_small)
+    tele = telescoping_defect(big, rng.standard_normal(r_small))
+    check(
+        "correction telescoping identity",
+        tele <= IDENTITY_MAX,
+        f"relative defect {tele:.2e}",
+    )
+    nest = nesting_defect(small, big)
+    check("nested operator blocks", nest <= NESTING_MAX, f"relative defect {nest:.2e}")
+    fp, iterations = degenerate_fixed_point(basis, r_big, prob_q)
+    check(
+        "degenerate fixed point",
+        fp <= FIXED_POINT_MAX,
+        f"relative distance {fp:.2e} (stage-1 iterations {iterations})",
+    )
+    return results
 
 
 def fom_convergence(prob: BurgersProblem) -> tuple[tuple[float, float], float]:
@@ -147,8 +238,9 @@ def degenerate_fixed_point(
     Returns:
         ``(relative distance, coarse-stage Newton iterations)``.
     """
-    one = solvers.one_level_solve(basis, R, prob, "avg")
-    coarse, corrected = solvers.two_level_solve(basis, R, R, prob, "avg")
+    ws = rom.RomWorkspace(basis, R, prob.nu)
+    one = solvers.one_level_solve(basis, R, prob, "avg", workspace=ws)
+    coarse, corrected = solvers.two_level_solve(basis, R, R, prob, "avg", workspace=ws)
     distance = np.linalg.norm(corrected.coeffs - one.coeffs) / np.linalg.norm(
         one.coeffs
     )

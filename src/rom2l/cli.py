@@ -8,9 +8,8 @@ Four subcommands:
   R against the two-level model (r, R) for one or more ``r:R`` pairs.
 * ``exp2``: comparison with a larger correction dimension, for one or
   more ``r:R1:R2`` triples.
-* ``validate``: run the built-in property checks (full-order solver
-  convergence study, POD orthonormality and rank, algebraic identities),
-  measured by :mod:`rom2l.checks` as in the acceptance suite.
+* ``validate``: print one PASS/FAIL line per property check of
+  :func:`rom2l.checks.run_checks`, where the checks and their bounds live.
 
 Exit codes: 0 success, 1 solver failures, failed validation checks or an
 ``error: ...`` message, 2 usage error.
@@ -22,9 +21,7 @@ import argparse
 import logging
 import sys
 
-import numpy as np
-
-from . import checks, rom
+from . import checks
 from .bench import (
     ExperimentConfig,
     build_basis,
@@ -33,13 +30,14 @@ from .bench import (
     run_experiment,
 )
 from .errors import RomError
-from .manufactured import BurgersProblem, with_parameter
+from .manufactured import BurgersProblem
 from .pod import DEFAULT_RANK_TOL, load_basis, save_basis
 from .solvers import GUESS_KINDS
 
 __all__ = ["cli_main", "script_entry"]
 
-logger = logging.getLogger(__name__)
+# The problem flags, named after the BurgersProblem fields they set.
+_PROBLEM_FLAGS = ("a", "b", "alpha", "beta", "nu", "k", "sigma")
 
 
 def _add_problem_args(parser: argparse.ArgumentParser) -> None:
@@ -60,18 +58,6 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=DEFAULT_RANK_TOL,
         help="relative singular value cutoff",
-    )
-
-
-def _problem_from(args) -> BurgersProblem:
-    return BurgersProblem(
-        a=args.a,
-        b=args.b,
-        alpha=args.alpha,
-        beta=args.beta,
-        nu=args.nu,
-        k=args.k,
-        sigma=args.sigma,
     )
 
 
@@ -161,7 +147,7 @@ def _offline_config(args, **experiment) -> ExperimentConfig:
     experiment fields are the defaults unless given as keywords."""
     try:
         return ExperimentConfig(
-            problem=_problem_from(args),
+            problem=BurgersProblem(**{f: getattr(args, f) for f in _PROBLEM_FLAGS}),
             q_start=args.q_start,
             q_end=args.q_end,
             q_step=args.q_step,
@@ -189,13 +175,10 @@ def _cmd_offline(args) -> int:
     return 0
 
 
-def _experiment_config(args, triples) -> ExperimentConfig:
-    return _offline_config(
+def _run_and_report(args, triples) -> int:
+    cfg = _offline_config(
         args, triples=tuple(triples), guesses=tuple(args.guess), reps=args.reps
     )
-
-
-def _run_and_report(args, cfg: ExperimentConfig) -> int:
     basis = load_basis(args.basis) if args.basis else None
     report = run_experiment(cfg, basis=basis)
     if args.out:
@@ -216,7 +199,7 @@ def _cmd_exp1(args, parser) -> int:
         if r >= big_r:
             parser.error(f"pair {pair!r}: need r < R (r >= R given)")
         triples.append((r, big_r, big_r))
-    return _run_and_report(args, _experiment_config(args, triples))
+    return _run_and_report(args, triples)
 
 
 def _cmd_exp2(args, parser) -> int:
@@ -226,94 +209,21 @@ def _cmd_exp2(args, parser) -> int:
         if r >= r2:
             parser.error(f"triple {text!r}: need r < R2 (r >= R2 given)")
         triples.append((r, r1, r2))
-    return _run_and_report(args, _experiment_config(args, triples))
-
-
-def _check(name: str, ok: bool, detail: str, results: list) -> None:
-    results.append(ok)
-    print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    return _run_and_report(args, triples)
 
 
 def _cmd_validate(args) -> int:
-    results: list[bool] = []
     cfg = _offline_config(args)
-    prob = cfg.problem
-    rng = np.random.default_rng(20240817)
-
-    orders, finest = checks.fom_convergence(prob)
-    _check(
-        "full-order convergence",
-        min(orders) >= 2.7,
-        f"observed orders {orders[0]:.2f}, {orders[1]:.2f} (need >= 2.7)",
-        results,
-    )
-    _check(
-        "full-order accuracy",
-        finest <= 1e-6,
-        f"L2 error {finest:.3e} at h=1/200 (need <= 1e-6)",
-        results,
-    )
-
     basis = load_basis(args.basis) if args.basis else build_basis(cfg)
-    if not args.basis and cfg == ExperimentConfig():
-        _check(
-            "POD rank",
-            basis.rank == 30,
-            f"retained rank {basis.rank} (expected 30)",
-            results,
-        )
-    defect = checks.orthonormality_defect(basis)
-    _check(
-        "POD orthonormality",
-        defect <= 1e-10,
-        f"max |Phi^T M Phi - I| {defect:.2e} in the mass inner product, "
-        f"rank {basis.rank}",
-        results,
+    reference = not args.basis and cfg == ExperimentConfig()
+    results = checks.run_checks(
+        cfg.problem, basis, checks.REFERENCE_RANK if reference else None
     )
-
-    parts, split = checks.convection_defects(basis.mesh, rng)
-    _check(
-        "integration-by-parts identity",
-        parts <= 1e-12,
-        f"max relative defect {parts:.2e} over 100 draws",
-        results,
-    )
-    _check(
-        "trilinear splitting identity",
-        split <= 1e-12,
-        f"max relative defect {split:.2e} over 100 draws",
-        results,
-    )
-
-    r_small, r_big = (min(8, basis.rank), basis.rank) if basis.rank < 25 else (18, 25)
-    prob_q = with_parameter(prob, 0.37)
-    ops = rom.RomWorkspace(basis, r_big, prob.nu).operators(prob_q, r_big)
-    telescoping = checks.telescoping_defect(ops, rng.standard_normal(r_small))
-    _check(
-        "correction telescoping identity",
-        telescoping <= 1e-12,
-        f"relative defect {telescoping:.2e}",
-        results,
-    )
-    # A workspace of its own at r_small, so that the check can fail.
-    small = rom.RomWorkspace(basis, r_small, prob.nu).operators(prob_q, r_small)
-    nest = checks.nesting_defect(small, ops)
-    _check(
-        "nested operator blocks",
-        nest <= 1e-13,
-        f"relative defect {nest:.2e}",
-        results,
-    )
-    fp, coarse_iterations = checks.degenerate_fixed_point(basis, r_big, prob_q)
-    _check(
-        "degenerate fixed point",
-        fp <= 1e-8,
-        f"relative distance {fp:.2e} (stage-1 iterations {coarse_iterations})",
-        results,
-    )
-
-    print(f"{sum(results)}/{len(results)} checks passed")
-    return 0 if all(results) else 1
+    for name, ok, detail in results:
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    passed = sum(ok for _, ok, _ in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
 def cli_main(argv=None) -> int:
@@ -321,13 +231,10 @@ def cli_main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    try:
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         if args.command == "offline":
             return _cmd_offline(args)
         if args.command == "exp1":
@@ -335,7 +242,7 @@ def cli_main(argv=None) -> int:
         if args.command == "exp2":
             return _cmd_exp2(args, parser)
         return _cmd_validate(args)
-    except SystemExit as exc:  # parser.error inside subcommand handling
+    except SystemExit as exc:  # -h, usage errors and parser.error in handlers
         return int(exc.code) if exc.code is not None else 0
     except (RomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

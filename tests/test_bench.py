@@ -250,6 +250,11 @@ class TestReportFormats:
         text = format_report(tiny_report, "json")
         assert report_from_dict(json.loads(text)) == tiny_report
 
+    def test_one_dict_loads_twice(self, tiny_report):
+        data = report_to_dict(tiny_report)
+        assert report_from_dict(data) == tiny_report
+        assert report_from_dict(data) == tiny_report
+
     def test_json_round_trip_is_exact(self, tiny_report, tmp_path):
         path = tmp_path / "report.json"
         emit_report(tiny_report, path, "json")

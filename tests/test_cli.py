@@ -223,7 +223,7 @@ class TestValidate:
 
     def test_rank_check_only_on_the_reference_configuration(self, capsys):
         # The default grid and h with another cutoff retain more than
-        # 30 modes; that is not a failure of the reference rank check.
+        # the reference rank; that is not a failure of the rank check.
         rc = cli_main(["validate", "--rank-tol", "1e-10"])
         out = capsys.readouterr().out
         assert rc == 0, out

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rom2l import fem
+from rom2l.checks import IDENTITY_MAX
 from rom2l.errors import InvalidMesh, MeshMismatch
 from rom2l.fem import (
     FeFunction,
@@ -229,7 +230,7 @@ class TestTrilinearForm:
                 - trilinear_b(ur, ur, w)
                 + trilinear_b(diff, diff, w)
             )
-            assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1.0)
+            assert abs(lhs - rhs) <= IDENTITY_MAX * (abs(lhs) + 1.0)
 
     def test_cyclic_identity_for_zero_boundary_functions(self, coarse_mesh, rng):
         # Integrating (u v w)' over the interval gives zero when the
@@ -240,4 +241,4 @@ class TestTrilinearForm:
             u, v, w = (random_fe(coarse_mesh, rng, zero_boundary=True) for _ in range(3))
             total = trilinear_b(v, u, w) + trilinear_b(u, v, w) + trilinear_b(u, w, v)
             scale = abs(trilinear_b(u, v, w)) + 1.0
-            assert abs(total) <= 1e-12 * scale
+            assert abs(total) <= IDENTITY_MAX * scale
