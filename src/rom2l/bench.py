@@ -13,9 +13,9 @@ One experiment sweeps the bump center ``q`` over a grid and, for each
 
 The sweep runs ``q`` outermost, then the triples, then the guesses, so
 each ``q`` samples its forcing once and every solve at that ``q`` finds
-it, with its load vector, in the workspace cache. Rows and records
-come out in the order of the triples and guesses, each with its
-records in grid order.
+its load vector remembered in the workspace, which holds only the last
+problem it served. Rows and records come out in the order of the
+triples and guesses, each with its records in grid order.
 
 Errors are taken in reduced coordinates. Once per ``q`` the harness
 projects ``u = I_h u_q`` onto the leading ``r_max`` modes, ``p``, and
@@ -28,11 +28,10 @@ gives the POD projection error of ``u`` at ``R1``.
 
 Timing covers the online stage only: the operator views and the
 solves. The parameter-independent operators are precomputed in a shared
-:class:`~rom2l.rom.RomWorkspace`, and the forcing samples at the
-quadrature points, with their load vectors, are primed by the error-pass
-solve, since the forcing is problem data rather than work the solver
-should be charged for. Both models are timed through the identical code
-path, so the comparison is symmetric.
+:class:`~rom2l.rom.RomWorkspace`, and the load vector of each ``q`` is
+primed by the error-pass solve, since the forcing is problem data rather
+than work the solver should be charged for. Both models are timed
+through the identical code path, so the comparison is symmetric.
 
 Error averages use exact summation, so they do not depend on the order
 of the parameter grid. Parameter values where either model fails to
@@ -125,7 +124,7 @@ class ExperimentConfig:
         reps: timed repetitions per parameter value.
         h: element size of the snapshot mesh.
         rank_tol: relative singular value cutoff for the mass-orthonormal
-            POD.
+            POD, in (0, 1).
         newton: Newton stopping rules for every solve.
     """
 
@@ -151,6 +150,8 @@ class ExperimentConfig:
             )
         if self.h <= 0:
             raise ValueError(f"element size must be positive, got {self.h}")
+        if not 0 < self.rank_tol < 1:
+            raise ValueError(f"rank_tol must lie in (0, 1), got {self.rank_tol}")
         if not self.guesses:
             raise ValueError("need at least one starting-guess kind")
         for g in self.guesses:
@@ -258,9 +259,9 @@ def _measure(ws, basis, triple, guess, prob_q, split, cfg) -> QRecord:
     """Errors of both solves at one parameter value and, when neither
     fails, their average wall times.
 
-    The error solves are the untimed run before timing: they prime the
-    forcing cache for the same ``q``. Every error comes from ``split``,
-    the pair :func:`_exact_split` returns for ``prob_q``.
+    The error solves are the untimed run before timing: they leave the
+    load vector of the same ``q`` in the workspace. Every error comes
+    from ``split``, the pair :func:`_exact_split` returns for ``prob_q``.
     """
     r, r1, r2 = triple
     p, rest = split
@@ -429,25 +430,46 @@ def report_to_dict(report: ExperimentReport) -> dict:
     }
 
 
+def _null_for_nonfinite(value):
+    """``value`` with every NaN or infinite float, at any depth, as None,
+    which JSON writes as ``null``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _null_for_nonfinite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_for_nonfinite(v) for v in value]
+    return value
+
+
+def _nan_for_null(fields: dict) -> dict:
+    return {k: math.nan if v is None else v for k, v in fields.items()}
+
+
 def report_from_dict(data: dict) -> ExperimentReport:
-    """Inverse of :func:`report_to_dict`."""
+    """Inverse of :func:`report_to_dict`; a row or record field that JSON
+    holds as ``null`` is read as NaN."""
     if data.get("format") != "rom2l-report":
         raise ValueError("not a benchmark report dictionary")
     rows = []
     for rd in data["rows"]:
-        records = tuple(QRecord(**r) for r in rd["records"])
-        rows.append(ExperimentRow(**{**rd, "records": records}))
+        records = tuple(QRecord(**_nan_for_null(r)) for r in rd["records"])
+        rows.append(ExperimentRow(**{**_nan_for_null(rd), "records": records}))
     return ExperimentReport(rows=tuple(rows), metadata=data["metadata"])
 
 
 def format_report(report: ExperimentReport, fmt: str = "markdown") -> str:
     """Render a report as ``csv``, ``markdown`` or ``json`` text.
 
+    JSON is strict (RFC 8259): a NaN or infinite float, such as the
+    error of a failed solve, is written as ``null``.
+
     Raises:
         ValueError: for any other format name.
     """
     if fmt == "json":
-        return json.dumps(report_to_dict(report), indent=1) + "\n"
+        data = _null_for_nonfinite(report_to_dict(report))
+        return json.dumps(data, indent=1, allow_nan=False) + "\n"
     if fmt == "csv":
         stream = io.StringIO()
         writer = csv.writer(stream, lineterminator="\n")

@@ -24,7 +24,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import fem
-from .errors import BadBasisFile, DegenerateSnapshots, DimensionError, MeshMismatch
+from .errors import (
+    BadBasisFile,
+    DegenerateSnapshots,
+    DimensionError,
+    InvalidMesh,
+    MeshMismatch,
+)
 from .fem import FeFunction, Mesh1D
 from .manufactured import BurgersProblem, exact_u, with_parameter
 
@@ -262,7 +268,8 @@ def load_basis(path) -> PodBasis:
 
     Raises:
         BadBasisFile: if the file has no basis header, its header or
-            matrix is malformed, its matrix does not match the header, or
+            matrix is malformed, its mesh header does not describe a
+            mesh, its matrix does not match the header, or
             its inner product tag is not ``"mass"``: :func:`project` would
             return wrong coefficients for modes orthonormal in another
             inner product.
@@ -290,9 +297,13 @@ def _read_basis(path) -> PodBasis:
             )
         table = np.loadtxt(fh, delimiter=",", ndmin=2)
     mdesc = header["mesh"]
-    mesh = fem.build_mesh(
-        mdesc["a"], mdesc["b"], (mdesc["b"] - mdesc["a"]) / mdesc["n_elems"]
-    )
+    a, b, n_elems = mdesc["a"], mdesc["b"], mdesc["n_elems"]
+    if not n_elems > 0:
+        raise BadBasisFile(f"{path}: mesh header has {n_elems} elements")
+    try:
+        mesh = fem.build_mesh(a, b, (b - a) / n_elems)
+    except InvalidMesh as exc:
+        raise BadBasisFile(f"{path}: bad mesh header: {exc}") from exc
     rank = int(header["rank"])
     if table.shape != (mesh.n_nodes, rank + 1):
         raise BadBasisFile(

@@ -29,10 +29,10 @@ per basis at the largest dimension of interest. The operators of any
 smaller dimension are leading slice views of its arrays, so one
 precomputation serves every dimension without copies. Contractions use
 ``@``, which passes the strided blocks of a view to BLAS as they are; a
-reshaping contraction would copy them on every call. Each cached
-forcing sample carries its load vector at ``r_max``, computed once when
-the sample is taken, so a request for a cached problem slices ``b``
-instead of projecting the forcing again.
+reshaping contraction would copy them on every call. The workspace
+remembers the last problem it served with that problem's operators at
+``r_max``, so repeated requests for one problem, at any dimension,
+restrict them instead of sampling and projecting the forcing again.
 """
 
 from __future__ import annotations
@@ -147,31 +147,28 @@ class RomWorkspace:
         self.load_map = (vals * wq[:, None]).T  # maps f at quad points to (f, phi_i)
         self.fingerprint = _basis_fingerprint(basis)
         self._ends = (float(basis.mean.coeffs[0]), float(basis.mean.coeffs[-1]))
-        # problem -> (forcing at the quadrature points, load vector at r_max)
-        self._forcing_cache: dict[BurgersProblem, tuple[np.ndarray, np.ndarray]] = {}
+        # The last problem served and its operators at r_max.
+        self._memo: tuple[BurgersProblem, RomOperators] | None = None
 
     def forcing_values(self, prob: BurgersProblem) -> np.ndarray:
-        """Forcing sampled at the quadrature points, cached per problem.
+        """Load vector ``b`` of ``prob`` at ``r_max``.
 
-        Only a problem not in the cache samples the forcing; it then
-        also computes the problem's load vector at ``r_max``, which
-        :meth:`operators` slices from the same cache entry.
+        A problem other than the last one served samples the forcing at
+        the quadrature points once, projects it, and replaces the
+        remembered operators; the samples themselves are not kept.
         """
-        entry = self._forcing_cache.get(prob)
-        if entry is None:
-            vals = forcing_f(prob, self.quad_x)
-            if len(self._forcing_cache) >= 8:
-                self._forcing_cache.pop(next(iter(self._forcing_cache)))
-            load = self.constant_base - self.load_map @ vals
-            entry = self._forcing_cache[prob] = (vals, load)
-        return entry[0]
+        memo = self._memo
+        if memo is None or memo[0] != prob:
+            load = self.constant_base - self.load_map @ forcing_f(prob, self.quad_x)
+            ops = RomOperators(self.r_max, self.linear, self.symmetric, load)
+            memo = self._memo = (prob, ops)
+        return memo[1].constant
 
-    def operators(self, prob: BurgersProblem, r: int | None = None) -> RomOperators:
+    def operators(self, prob: BurgersProblem, r: int) -> RomOperators:
         """Reduced operators for one problem instance at dimension ``r``.
 
-        Every array is a leading slice of the workspace or of the
-        problem's forcing cache entry; nothing is recomputed for a
-        cached problem.
+        Views of the remembered operators, restricted to ``r``; nothing is
+        recomputed when ``prob`` is the last problem served.
 
         Raises:
             WorkspaceMismatch: if ``prob`` has another viscosity than
@@ -179,6 +176,7 @@ class RomWorkspace:
             MeshMismatch: if ``prob`` lives on another interval than the
                 basis, or its boundary values differ from the end values
                 of the basis mean, which carries them.
+            DimensionError: if ``r`` is outside ``[1, r_max]``.
         """
         if prob.nu != self.nu:
             raise WorkspaceMismatch(
@@ -196,16 +194,8 @@ class RomWorkspace:
                 raise MeshMismatch(
                     f"problem has {name}={value}, the basis mean has end value {end}"
                 )
-        r = self.r_max if r is None else int(r)
-        if not 1 <= r <= self.r_max:
-            raise DimensionError(f"dimension {r} outside [1, {self.r_max}]")
-        self.forcing_values(prob)  # fills the cache entry on a miss
-        return RomOperators(
-            dim=r,
-            linear=self.linear[:r, :r],
-            symmetric=self.symmetric[:r, :r, :r],
-            constant=self._forcing_cache[prob][1][:r],
-        )
+        self.forcing_values(prob)  # refills the memo for a new problem
+        return restrict(self._memo[1], r)
 
 
 def restrict(ops: RomOperators, r: int) -> RomOperators:

@@ -9,6 +9,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
+from rom2l import rom
 from rom2l.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -27,7 +28,7 @@ from rom2l.bench import (
 )
 from rom2l.errors import DimensionError
 from rom2l.fem import FeFunction, l2_norm
-from rom2l.manufactured import exact_u, with_parameter
+from rom2l.manufactured import exact_u, forcing_f, with_parameter
 from rom2l.pod import lift, reconstruction_error
 from rom2l.rom import RomWorkspace
 from rom2l.solvers import NewtonConfig, one_level_solve
@@ -151,6 +152,25 @@ class TestRunExperiment:
         assert math.isnan(row.speedup)
         assert all(math.isnan(rec.time_1l_s) for rec in row.records)
 
+    def test_forcing_is_sampled_once_per_q(self, coarse_basis, monkeypatch):
+        # The workspace remembers only the last problem it served, so the
+        # sweep must run every solve at one q before it moves on.
+        sampled = []
+
+        def counted(prob, x):
+            sampled.append(prob.q)
+            return forcing_f(prob, x)
+
+        monkeypatch.setattr(rom, "forcing_f", counted)
+        cfg = tiny_config(
+            q_start=-2.0,
+            q_end=2.0,
+            q_step=0.5,
+            triples=((4, 8, 8), (6, 10, 10), (5, 12, 9)),
+            guesses=("ug", "avg"),
+        )
+        run_experiment(cfg, basis=coarse_basis)
+        np.testing.assert_array_equal(sampled, cfg.q_values())
 
     def test_err_proj_is_the_projection_error(self, tiny_report, coarse_basis):
         mesh = coarse_basis.mesh
@@ -249,6 +269,23 @@ class TestReportFormats:
     def test_format_report_json_round_trips(self, tiny_report):
         text = format_report(tiny_report, "json")
         assert report_from_dict(json.loads(text)) == tiny_report
+
+    def test_json_is_strict_and_reads_null_back_as_nan(self, coarse_basis):
+        # Every solve fails, so errors, times and ratios are NaN; strict
+        # JSON has no token for them.
+        cfg = tiny_config(guesses=("ug",), newton=NewtonConfig(max_iter=1))
+        report = run_experiment(cfg, basis=coarse_basis)
+        text = format_report(report, "json")
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        data = json.loads(text, parse_constant=refuse)
+        assert data["rows"][0]["err_1l"] is None
+        loaded = report_from_dict(data)
+        assert math.isnan(loaded.rows[0].err_1l)
+        assert all(math.isnan(rec.time_1l_s) for rec in loaded.rows[0].records)
+        assert format_report(loaded, "json") == text
 
     def test_one_dict_loads_twice(self, tiny_report):
         data = report_to_dict(tiny_report)

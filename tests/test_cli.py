@@ -86,9 +86,12 @@ class TestUsageErrors:
          (["offline", "--q-start", "4", "--q-end", "-4", "--out", "unused.txt"],
           "has no values"),
          (["exp1", "--pairs", "4:8", "--q-start", "4", "--q-end", "-4"],
-          "has no values")],
+          "has no values"),
+         (["offline", "--rank-tol", "1.5", *COARSE, "--out", "unused.txt"],
+          "must lie in (0, 1)"),
+         (["validate", "--rank-tol", "1.5", *COARSE], "must lie in (0, 1)")],
         ids=["offline-h", "exp1-q-step", "exp1-reps", "offline-q-range",
-             "exp1-q-range"],
+             "exp1-q-range", "offline-rank-tol", "validate-rank-tol"],
     )
     def test_invalid_configuration_is_reported(
         self, argv, message, tmp_path, monkeypatch, capsys
@@ -220,6 +223,14 @@ class TestValidate:
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "8/8 checks passed" in out
+
+    def test_basis_without_elements_is_reported(self, basis_file, tmp_path, capsys):
+        path = tmp_path / "basis.txt"
+        with open(basis_file, encoding="utf-8") as fh:
+            path.write_text(fh.read().replace('"n_elems": 32', '"n_elems": 0', 1))
+        rc = cli_main(["validate", *COARSE, "--basis", str(path)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_rank_check_only_on_the_reference_configuration(self, capsys):
         # The default grid and h with another cutoff retain more than

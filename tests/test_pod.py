@@ -227,8 +227,13 @@ class TestSaveLoad:
             ('"format": "rom2l-basis"', '"format": "other"'),
             ('"rank": 16', '"rank": 15'),
             ("\n", "\nnot-a-number,"),
+            ('"n_elems": 32', '"n_elems": 0'),
+            ('"n_elems": 32', '"n_elems": -2'),
+            ('"n_elems": 32', '"n_elems": 32.5'),
+            ('"a": -4.0', '"a": 4.0'),
         ],
-        ids=["euclidean-tag", "format", "shape", "matrix"],
+        ids=["euclidean-tag", "format", "shape", "matrix", "no-elements",
+             "negative-elements", "fractional-elements", "empty-interval"],
     )
     def test_refusals_are_typed(self, coarse_basis, tmp_path, edit):
         # Modes written as Euclidean-orthonormal would project with the

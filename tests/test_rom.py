@@ -343,12 +343,13 @@ class TestWorkspace:
 
     def test_forcing_cache_tells_intervals_apart(self, coarse_basis):
         # The forcing depends on every field of the problem, the interval
-        # included, so problems differing only in ``b`` must not share a
-        # cache entry.
+        # included, so problems differing only in ``b`` must not share the
+        # remembered load vector.
         ws = RomWorkspace(coarse_basis, 4, 1.0)
         for prob in (BurgersProblem(q=0.5), BurgersProblem(q=0.5, b=5.0)):
             np.testing.assert_array_equal(
-                ws.forcing_values(prob), forcing_f(prob, ws.quad_x)
+                ws.forcing_values(prob),
+                ws.constant_base - ws.load_map @ forcing_f(prob, ws.quad_x),
             )
 
     @pytest.mark.parametrize(
