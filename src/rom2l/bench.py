@@ -384,7 +384,7 @@ def run_experiment(cfg: ExperimentConfig, basis: PodBasis | None = None) -> Expe
         "guesses": list(cfg.guesses),
         "n_q": int(q_values.size),
         "basis_rank": basis.rank,
-        "basis": ws.fingerprint,
+        "basis": basis.fingerprint,
         "clock": "time.perf_counter",
         "python": sys.version.split()[0],
         "numpy": np.__version__,

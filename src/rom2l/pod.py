@@ -16,6 +16,7 @@ the snapshot mean, which carries the boundary data.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -97,6 +98,15 @@ class PodBasis:
     def rank(self) -> int:
         return self.modes.shape[1]
 
+    @property
+    def fingerprint(self) -> str:
+        """Provenance tag that is the same in every process for the same basis."""
+        digest = hashlib.sha256(np.ascontiguousarray(self.mean.coeffs).tobytes())
+        digest.update(np.ascontiguousarray(self.modes).tobytes())
+        return (
+            f"rank={self.rank};nodes={self.mesh.n_nodes};sha256={digest.hexdigest()}"
+        )
+
 
 def parameter_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Evenly spaced parameter values from ``start`` to ``stop`` inclusive.
@@ -149,8 +159,11 @@ def compute_pod(snaps: SnapshotSet, rank_tol: float = DEFAULT_RANK_TOL) -> PodBa
     above ``rank_tol`` times the largest one.
 
     Raises:
+        ValueError: if ``rank_tol`` is outside (0, 1).
         DegenerateSnapshots: if every snapshot equals the mean.
     """
+    if not 0 < rank_tol < 1:
+        raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol}")
     mesh = snaps.mesh
     mean = snaps.matrix.mean(axis=1)
     fluct = snaps.matrix - mean[:, None]

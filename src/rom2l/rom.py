@@ -33,11 +33,11 @@ reshaping contraction would copy them on every call. The workspace
 remembers the last problem it served with that problem's operators at
 ``r_max``, so repeated requests for one problem, at any dimension,
 restrict them instead of sampling and projecting the forcing again.
+A problem is checked once, when the workspace first serves it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,17 +79,6 @@ class RomOperators:
     linear: np.ndarray = field(repr=False)
     symmetric: np.ndarray = field(repr=False)
     constant: np.ndarray = field(repr=False)
-
-
-def _basis_fingerprint(basis: PodBasis) -> str:
-    """Provenance tag that is the same in every process for the same basis."""
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(basis.mean.coeffs).tobytes())
-    digest.update(np.ascontiguousarray(basis.modes).tobytes())
-    return (
-        f"rank={basis.rank};nodes={basis.mesh.n_nodes};"
-        f"sha256={digest.hexdigest()}"
-    )
 
 
 class RomWorkspace:
@@ -145,7 +134,6 @@ class RomWorkspace:
             wq * mean_val * mean_der
         )
         self.load_map = (vals * wq[:, None]).T  # maps f at quad points to (f, phi_i)
-        self.fingerprint = _basis_fingerprint(basis)
         self._ends = (float(basis.mean.coeffs[0]), float(basis.mean.coeffs[-1]))
         # The last problem served and its operators at r_max.
         self._memo: tuple[BurgersProblem, RomOperators] | None = None
@@ -153,22 +141,10 @@ class RomWorkspace:
     def forcing_values(self, prob: BurgersProblem) -> np.ndarray:
         """Load vector ``b`` of ``prob`` at ``r_max``.
 
-        A problem other than the last one served samples the forcing at
-        the quadrature points once, projects it, and replaces the
-        remembered operators; the samples themselves are not kept.
-        """
-        memo = self._memo
-        if memo is None or memo[0] != prob:
-            load = self.constant_base - self.load_map @ forcing_f(prob, self.quad_x)
-            ops = RomOperators(self.r_max, self.linear, self.symmetric, load)
-            memo = self._memo = (prob, ops)
-        return memo[1].constant
-
-    def operators(self, prob: BurgersProblem, r: int) -> RomOperators:
-        """Reduced operators for one problem instance at dimension ``r``.
-
-        Views of the remembered operators, restricted to ``r``; nothing is
-        recomputed when ``prob`` is the last problem served.
+        A problem other than the last one served is checked; an admitted
+        one has its forcing sampled at the quadrature points, projected,
+        and remembered with the operators in place of the last problem's
+        (the samples are not kept). A refused one leaves the memo as is.
 
         Raises:
             WorkspaceMismatch: if ``prob`` has another viscosity than
@@ -176,8 +152,10 @@ class RomWorkspace:
             MeshMismatch: if ``prob`` lives on another interval than the
                 basis, or its boundary values differ from the end values
                 of the basis mean, which carries them.
-            DimensionError: if ``r`` is outside ``[1, r_max]``.
         """
+        memo = self._memo
+        if memo is not None and memo[0] == prob:
+            return memo[1].constant
         if prob.nu != self.nu:
             raise WorkspaceMismatch(
                 f"workspace was assembled with nu={self.nu}, problem has {prob.nu}"
@@ -194,7 +172,21 @@ class RomWorkspace:
                 raise MeshMismatch(
                     f"problem has {name}={value}, the basis mean has end value {end}"
                 )
-        self.forcing_values(prob)  # refills the memo for a new problem
+        load = self.constant_base - self.load_map @ forcing_f(prob, self.quad_x)
+        self._memo = (prob, RomOperators(self.r_max, self.linear, self.symmetric, load))
+        return load
+
+    def operators(self, prob: BurgersProblem, r: int) -> RomOperators:
+        """Reduced operators for one problem instance at dimension ``r``.
+
+        Views of the remembered operators, restricted to ``r``; nothing is
+        recomputed when ``prob`` is the last problem served.
+
+        Raises:
+            WorkspaceMismatch, MeshMismatch: from :meth:`forcing_values`.
+            DimensionError: if ``r`` is outside ``[1, r_max]``.
+        """
+        self.forcing_values(prob)  # admits prob and refills the memo if new
         return restrict(self._memo[1], r)
 
 

@@ -101,6 +101,7 @@ def newton_solve(
         A :class:`SolveOutcome` with the converged coefficients.
 
     Raises:
+        DimensionError: if ``a0`` is not a vector of length ``ops.dim``.
         SingularJacobian: if a Newton system is singular.
         NoConvergence: if the tolerances are not met within
             ``cfg.max_iter`` applied steps, or an iterate goes non-finite.
@@ -203,13 +204,8 @@ def make_guess(kind: str, r: int) -> np.ndarray:
     return g if kind == "ug" else 0.5 * g
 
 
-def _as_guess(guess, r: int) -> np.ndarray:
-    if isinstance(guess, str):
-        return make_guess(guess, r)
-    g = np.asarray(guess, dtype=float)
-    if g.shape != (r,):
-        raise DimensionError(f"guess has shape {g.shape}, expected ({r},)")
-    return g
+def _as_guess(guess, r: int):
+    return make_guess(guess, r) if isinstance(guess, str) else guess
 
 
 def _workspace_for(
@@ -219,10 +215,6 @@ def _workspace_for(
         return RomWorkspace(basis, r, prob.nu)
     if workspace.basis is not basis:
         raise WorkspaceMismatch("workspace was built for a different basis")
-    if workspace.r_max < r:
-        raise DimensionError(
-            f"workspace serves dimensions up to {workspace.r_max}, requested {r}"
-        )
     return workspace
 
 
@@ -275,11 +267,10 @@ def two_level_solve(
         Pair of outcomes ``(coarse stage, correction stage)``.
 
     Raises:
+        DimensionError: from :func:`rom.restrict` if ``r`` is outside ``[1, R2]``.
         SingularJacobian: if the Jacobian at the padded vector, the
             correction matrix, is singular.
     """
-    if not 1 <= r <= R2:
-        raise DimensionError(f"need 1 <= r <= R2, got r={r}, R2={R2}")
     ws = _workspace_for(basis, R2, prob, workspace)
     ops_fine = ws.operators(prob, R2)
     outcome1 = newton_solve(rom.restrict(ops_fine, r), _as_guess(guess, r), cfg)

@@ -30,7 +30,6 @@ from rom2l.errors import DimensionError
 from rom2l.fem import FeFunction, l2_norm
 from rom2l.manufactured import exact_u, forcing_f, with_parameter
 from rom2l.pod import lift, reconstruction_error
-from rom2l.rom import RomWorkspace
 from rom2l.solvers import NewtonConfig, one_level_solve
 
 
@@ -113,8 +112,7 @@ class TestRunExperiment:
             assert loaded.metadata[f.name] == config[f.name]
 
     def test_metadata_carries_the_basis_fingerprint(self, tiny_report, coarse_basis):
-        ws = RomWorkspace(coarse_basis, 8, 1.0)
-        assert tiny_report.metadata["basis"] == ws.fingerprint
+        assert tiny_report.metadata["basis"] == coarse_basis.fingerprint
 
     def test_row_averages_match_records(self, tiny_report):
         row = tiny_report.rows[0]

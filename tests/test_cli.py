@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from rom2l.bench import CSV_COLUMNS, load_report
-from rom2l.cli import cli_main
+from rom2l.bench import CSV_COLUMNS, ExperimentConfig, load_report
+from rom2l.cli import _build_parser, _offline_config, cli_main
 from rom2l.pod import save_basis
 
 # Flags that keep every subcommand fast: a 32-element mesh and a
@@ -231,6 +231,13 @@ class TestValidate:
         rc = cli_main(["validate", *COARSE, "--basis", str(path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_default_flags_are_the_reference_configuration(self):
+        # validate checks the POD rank only when its flags give
+        # ExperimentConfig(); flag defaults that drift from the config's
+        # would drop that row silently.
+        args = _build_parser().parse_args(["validate"])
+        assert _offline_config(args) == ExperimentConfig()
 
     def test_rank_check_only_on_the_reference_configuration(self, capsys):
         # The default grid and h with another cutoff retain more than

@@ -118,6 +118,18 @@ class TestComputePod:
             loose.modes, tight.modes[:, : loose.rank]
         )
 
+    @pytest.mark.parametrize("rank_tol", [0.0, -1e-3, 1.0, 2.0])
+    def test_rank_tolerance_outside_the_unit_interval(
+        self, default_problem, coarse_mesh, rank_tol
+    ):
+        # From 1 up no singular value passes the cutoff, which would
+        # leave a rank-0 basis.
+        snaps = generate_snapshots(
+            default_problem, parameter_grid(-4.0, 4.0, 1.0), coarse_mesh
+        )
+        with pytest.raises(ValueError, match="rank_tol"):
+            compute_pod(snaps, rank_tol=rank_tol)
+
 
 class TestProjectAndLift:
     def test_round_trip(self, coarse_basis, rng):

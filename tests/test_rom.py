@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 import rom2l
-from rom2l import fem
-from rom2l.errors import DimensionError, MeshMismatch, RomError
-from rom2l.manufactured import BurgersProblem, forcing_f, with_parameter
+from rom2l import fem, rom
+from rom2l.errors import DimensionError, MeshMismatch, RomError, WorkspaceMismatch
+from rom2l.manufactured import forcing_f, with_parameter
 from rom2l.rom import (
     RomOperators,
     RomWorkspace,
@@ -341,16 +341,34 @@ class TestWorkspace:
         other = ws.forcing_values(with_parameter(default_problem, -0.5))
         assert other is not ws.forcing_values(prob)
 
-    def test_forcing_cache_tells_intervals_apart(self, coarse_basis):
-        # The forcing depends on every field of the problem, the interval
-        # included, so problems differing only in ``b`` must not share the
-        # remembered load vector.
+    def test_forcing_refuses_a_problem_off_the_workspace(
+        self, coarse_basis, monkeypatch
+    ):
+        # forcing_values admits each new problem: one with another
+        # viscosity, interval or boundary value has no load vector here.
+        # A refusal keeps the remembered problem, so serving that one
+        # again samples no forcing.
         ws = RomWorkspace(coarse_basis, 4, 1.0)
-        for prob in (BurgersProblem(q=0.5), BurgersProblem(q=0.5, b=5.0)):
-            np.testing.assert_array_equal(
-                ws.forcing_values(prob),
-                ws.constant_base - ws.load_map @ forcing_f(prob, ws.quad_x),
-            )
+        good = replace(coarse_basis.problem, q=0.5)
+        kept = ws.forcing_values(good)
+        for change, error in (
+            ({"nu": 0.5}, WorkspaceMismatch),
+            ({"a": -3.0}, MeshMismatch),
+            ({"b": 5.0}, MeshMismatch),
+            ({"alpha": 3.0}, MeshMismatch),
+        ):
+            with pytest.raises(error):
+                ws.forcing_values(replace(good, **change))
+        sampled = []
+
+        def counted(prob, x):
+            sampled.append(prob)
+            return forcing_f(prob, x)
+
+        monkeypatch.setattr(rom, "forcing_f", counted)
+        ws.operators(good, 4)
+        assert sampled == []
+        assert ws.forcing_values(good) is kept
 
     @pytest.mark.parametrize(
         "change",
@@ -398,11 +416,10 @@ class TestWorkspace:
         script = (
             "from rom2l import BurgersProblem, build_mesh, compute_pod, "
             "generate_snapshots, parameter_grid\n"
-            "from rom2l.rom import RomWorkspace\n"
             "prob = BurgersProblem()\n"
             "mesh = build_mesh(-4.0, 4.0, 0.5)\n"
             "snaps = generate_snapshots(prob, parameter_grid(-4.0, 4.0, 1.0), mesh)\n"
-            "print(RomWorkspace(compute_pod(snaps), 2, prob.nu).fingerprint)\n"
+            "print(compute_pod(snaps).fingerprint)\n"
         )
         src = str(Path(rom2l.__file__).resolve().parents[1])
         prints = []
@@ -421,7 +438,7 @@ class TestWorkspace:
             )
             prints.append(proc.stdout.strip())
         assert prints[0] == prints[1]
-        assert "sha256=" in prints[0]
+        assert prints[0].startswith("rank=8;nodes=33;sha256=")
 
     def test_viscosity_mismatch_is_rejected(self, coarse_basis, default_problem):
         ws = RomWorkspace(coarse_basis, 4, 2.0)

@@ -331,6 +331,8 @@ class TestTwoLevelSolve:
     def test_coarse_dimension_bound(self, coarse_basis, default_problem):
         with pytest.raises(DimensionError):
             two_level_solve(coarse_basis, 9, 8, default_problem, "avg")
+        with pytest.raises(DimensionError):
+            two_level_solve(coarse_basis, 0, 8, default_problem, "avg")
 
     def test_singular_correction_jacobian(self, coarse_basis, default_problem):
         # Rows 4.. of A zero and S zero: stage 1 at r = 4 is a regular
