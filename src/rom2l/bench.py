@@ -27,11 +27,14 @@ terms, without cancellation, at O(R) cost per solve. The same split
 gives the POD projection error of ``u`` at ``R1``.
 
 Timing covers the online stage only: the operator views and the
-solves. The parameter-independent operators are precomputed in a shared
-:class:`~rom2l.rom.RomWorkspace`, and the load vector of each ``q`` is
-primed by the error-pass solve, since the forcing is problem data rather
-than work the solver should be charged for. Both models are timed
-through the identical code path, so the comparison is symmetric.
+solves. The parameter-independent operators are precomputed in one
+:class:`~rom2l.rom.RomWorkspace` at the largest dimension of the triples,
+which :func:`~rom2l.rom.shared_workspace` keeps, so calls with the same
+basis object, that dimension and the same viscosity assemble it once.
+The load vector of each ``q`` is primed by the error-pass solve, since
+the forcing is problem data rather than work the solver should be
+charged for. Both models are timed through the identical code path, so
+the comparison is symmetric.
 
 Error averages use exact summation, so they do not depend on the order
 of the parameter grid. Parameter values where either model fails to
@@ -66,7 +69,7 @@ from .pod import (
     parameter_grid,
     project,
 )
-from .rom import RomWorkspace
+from .rom import shared_workspace
 from .solvers import (
     GUESS_KINDS,
     NewtonConfig,
@@ -349,7 +352,10 @@ def run_experiment(cfg: ExperimentConfig, basis: PodBasis | None = None) -> Expe
     Args:
         cfg: the experiment description.
         basis: optional precomputed POD basis; built from ``cfg`` when
-            omitted.
+            omitted. Pass the same basis object to repeated calls: the
+            workspace of its operators is then assembled once and reused
+            while the largest dimension of the triples and the viscosity
+            stay the same.
 
     Returns:
         An :class:`ExperimentReport`; :func:`emit_report` writes it.
@@ -366,7 +372,7 @@ def run_experiment(cfg: ExperimentConfig, basis: PodBasis | None = None) -> Expe
             )
     q_values = cfg.q_values()
     r_max = max(max(t[1], t[2]) for t in cfg.triples)
-    ws = RomWorkspace(basis, r_max, cfg.problem.nu)
+    ws = shared_workspace(basis, r_max, cfg.problem.nu)
     combos = [(tuple(int(v) for v in t), g) for t in cfg.triples for g in cfg.guesses]
     records = [[] for _ in combos]
     for q in q_values:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -85,6 +85,9 @@ class PodBasis:
             matrix (not truncated at ``rank``).
         q_values: parameter grid the snapshots were drawn from, if known.
         problem: problem template the snapshots came from, if known.
+
+    The mode and mean arrays are made read-only, so that what is derived
+    from them once (the fingerprint, a shared workspace) stays valid.
     """
 
     mesh: Mesh1D
@@ -94,13 +97,18 @@ class PodBasis:
     q_values: np.ndarray | None = field(default=None, repr=False)
     problem: BurgersProblem | None = None
 
+    def __post_init__(self):
+        self.modes.setflags(write=False)
+        self.mean.coeffs.setflags(write=False)
+
     @property
     def rank(self) -> int:
         return self.modes.shape[1]
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
-        """Provenance tag that is the same in every process for the same basis."""
+        """Provenance tag that is the same in every process for the same
+        basis; hashed on first use."""
         digest = hashlib.sha256(np.ascontiguousarray(self.mean.coeffs).tobytes())
         digest.update(np.ascontiguousarray(self.modes).tobytes())
         return (

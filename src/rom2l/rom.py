@@ -34,11 +34,17 @@ remembers the last problem it served with that problem's operators at
 ``r_max``, so repeated requests for one problem, at any dimension,
 restrict them instead of sampling and projecting the forcing again.
 A problem is checked once, when the workspace first serves it.
+
+:func:`shared_workspace` remembers the last workspace it assembled,
+with its basis, ``r_max`` and viscosity, so a caller that does not hold
+a workspace of its own (the harness) assembles it once per basis rather
+than once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,6 +56,7 @@ from .pod import PodBasis
 __all__ = [
     "RomOperators",
     "RomWorkspace",
+    "shared_workspace",
     "residual",
     "jacobian",
     "two_level_matrix_rhs",
@@ -83,6 +90,10 @@ class RomOperators:
 
 class RomWorkspace:
     """Parameter-independent reduced operators, assembled once per basis.
+
+    Assembly is the offline cost of the reduced models; a caller that
+    serves many problems holds one workspace or gets it from
+    :func:`shared_workspace`.
 
     All quantities are stored at dimension ``r_max``; requesting a
     smaller dimension takes a view of the leading block, so bases are
@@ -188,6 +199,24 @@ class RomWorkspace:
         """
         self.forcing_values(prob)  # admits prob and refills the memo if new
         return restrict(self._memo[1], r)
+
+
+@lru_cache(maxsize=1)
+def shared_workspace(basis: PodBasis, r_max: int, nu: float) -> RomWorkspace:
+    """The workspace of ``basis`` at ``r_max`` and ``nu``, assembled once.
+
+    Only the last workspace is remembered: a request with the same basis
+    object, the same ``r_max`` and the same ``nu`` gets it back, any
+    other request assembles a new one that takes its place. The basis is
+    matched by identity (:class:`~rom2l.pod.PodBasis` compares that way)
+    and held until then; its arrays are read-only, so it cannot change
+    under the workspace. ``r_max`` is matched exactly, so no caller is
+    served the leading views of a larger workspace.
+
+    Raises:
+        DimensionError, ValueError: from :class:`RomWorkspace`.
+    """
+    return RomWorkspace(basis, r_max, nu)
 
 
 def restrict(ops: RomOperators, r: int) -> RomOperators:

@@ -14,8 +14,31 @@ from rom2l import (
     fem,
     generate_snapshots,
     parameter_grid,
+    rom,
 )
 from rom2l.bench import build_basis
+
+
+@pytest.fixture(autouse=True)
+def fresh_shared_workspace():
+    """Each test starts with an empty workspace memo, so no count of
+    assemblies or forcing samples depends on the tests run before it."""
+    rom.shared_workspace.cache_clear()
+
+
+@pytest.fixture()
+def workspace_builds(monkeypatch):
+    """List that records ``(basis, r_max, nu)`` of every
+    :class:`rom.RomWorkspace` assembled while the test runs."""
+    built = []
+    init = rom.RomWorkspace.__init__
+
+    def spy(self, basis, r_max, nu):
+        built.append((basis, r_max, nu))
+        init(self, basis, r_max, nu)
+
+    monkeypatch.setattr(rom.RomWorkspace, "__init__", spy)
+    return built
 
 
 @pytest.fixture(scope="session")

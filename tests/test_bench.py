@@ -28,7 +28,7 @@ from rom2l.bench import (
 )
 from rom2l.errors import DimensionError
 from rom2l.fem import FeFunction, l2_norm
-from rom2l.manufactured import exact_u, forcing_f, with_parameter
+from rom2l.manufactured import BurgersProblem, exact_u, forcing_f, with_parameter
 from rom2l.pod import lift, reconstruction_error
 from rom2l.solvers import NewtonConfig, one_level_solve
 
@@ -210,6 +210,66 @@ class TestRunExperiment:
                     assert getattr(rec, name) == pytest.approx(
                         getattr(want, name), rel=1e-10
                     )
+
+
+def _answers(report) -> np.ndarray:
+    """Every record of a report without its wall times, one row per
+    record: q, Newton counts, failure flags and errors."""
+    return np.array(
+        [
+            (rec.q, rec.iters_1l, rec.iters_2l_stage1, rec.failed_1l,
+             rec.failed_2l, rec.err_1l, rec.err_2l, rec.err_proj)
+            for row in report.rows
+            for rec in row.records
+        ],
+        dtype=float,
+    )
+
+
+class TestWorkspaceReuse:
+    def test_repeated_calls_on_one_basis_assemble_once(
+        self, coarse_basis, workspace_builds
+    ):
+        cfg = tiny_config()
+        run_experiment(cfg, basis=coarse_basis)
+        run_experiment(cfg, basis=coarse_basis)
+        assert workspace_builds == [(coarse_basis, 8, cfg.problem.nu)]
+
+    def test_reused_workspace_gives_the_same_answers(self, coarse_basis):
+        # max_iter=6 makes some "ug" solves fail and others not.
+        cfg = tiny_config(
+            q_start=-2.0,
+            q_end=2.0,
+            q_step=0.5,
+            triples=((4, 8, 8), (6, 10, 10)),
+            guesses=("ug", "avg"),
+            newton=NewtonConfig(max_iter=6),
+        )
+        first = _answers(run_experiment(cfg, basis=coarse_basis))
+        second = _answers(run_experiment(cfg, basis=coarse_basis))
+        rom.shared_workspace.cache_clear()
+        fresh = _answers(run_experiment(cfg, basis=coarse_basis))
+        assert 0 < first[:, 3].sum() < len(first)  # failed_1l on some records
+        np.testing.assert_array_equal(second, first)
+        np.testing.assert_array_equal(fresh, first)
+
+    @pytest.mark.parametrize("key", ["r_max", "nu", "basis"])
+    def test_another_key_assembles_anew(self, coarse_basis, workspace_builds, key):
+        first = tiny_config()
+        run_experiment(first, basis=coarse_basis)
+        cfg, basis = first, coarse_basis
+        if key == "r_max":
+            cfg = replace(cfg, triples=((4, 8, 9),))
+        elif key == "nu":
+            cfg = replace(cfg, problem=BurgersProblem(nu=2.0))
+        else:
+            basis = replace(coarse_basis)  # the same arrays in another object
+        run_experiment(cfg, basis=basis)
+        r_max = max(max(t[1:]) for t in cfg.triples)
+        assert workspace_builds[1:] == [(basis, r_max, cfg.problem.nu)]
+        # Only the last workspace is kept, so the first key assembles again.
+        run_experiment(first, basis=coarse_basis)
+        assert len(workspace_builds) == 3
 
 
 class TestReducedCoordinateErrors:

@@ -92,6 +92,27 @@ class TestComputePod:
         scaled = replace(coarse_basis, modes=modes)
         assert orthonormality_defect(scaled) == pytest.approx(1.01**2 - 1, rel=1e-6)
 
+    @pytest.mark.parametrize("array", ["modes", "mean"])
+    def test_basis_arrays_are_read_only(self, coarse_basis, array):
+        # Fresh copies, so a failure cannot corrupt the shared fixture.
+        basis = replace(
+            coarse_basis,
+            modes=coarse_basis.modes.copy(),
+            mean=FeFunction(coarse_basis.mesh, coarse_basis.mean.coeffs.copy()),
+        )
+        values = basis.modes if array == "modes" else basis.mean.coeffs
+        with pytest.raises(ValueError, match="read-only"):
+            values[1:3] = 0.0
+
+    def test_a_derived_basis_has_its_own_fingerprint(self, coarse_basis):
+        tag = coarse_basis.fingerprint
+        assert coarse_basis.fingerprint is tag  # hashed once
+        modes = coarse_basis.modes.copy()
+        modes[:, 0] *= -1.0
+        flipped = replace(coarse_basis, modes=modes)
+        assert flipped.fingerprint != tag
+        assert coarse_basis.fingerprint == tag
+
     def test_modes_vanish_at_the_boundary(self, coarse_basis):
         assert np.all(coarse_basis.modes[0, :] == 0.0)
         assert np.all(coarse_basis.modes[-1, :] == 0.0)
