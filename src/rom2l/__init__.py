@@ -3,7 +3,8 @@
 The package is organized in layers:
 
 * :mod:`rom2l.fem`: quadratic finite elements on a uniform 1D mesh:
-  banded assembly, the L2 norm and the convection form.
+  banded assembly and its condensed solve, the L2 norm and the
+  convection form.
 * :mod:`rom2l.manufactured`: the closed-form solution family
   (``exact_u``) and its forcing (``forcing_f``).
 * :mod:`rom2l.pod`: snapshot generation and the POD basis.
@@ -34,6 +35,7 @@ from .fem import (
     interior_band,
     interior_load,
     l2_norm,
+    solve_interior,
     trilinear_b,
 )
 from .manufactured import (

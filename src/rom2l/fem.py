@@ -12,8 +12,13 @@ nodes ``2e``, ``2e + 1``, ``2e + 2`` (vertex, midside, vertex), so a mesh
 has ``2 * n_elems + 1`` nodes in total.
 
 All assembly goes through :func:`interior_band` and :func:`interior_load`,
-whose coefficients are scalars or values at the quadrature points; the
-matrix comes in the banded layout of ``scipy.linalg.solve_banded``.
+whose coefficients are scalars or values at the quadrature points. The
+interior unknowns are the nodes ``1 .. n_nodes - 2``: interior index
+``2e`` is the midside of element ``e`` and index ``2e + 1`` the vertex it
+shares with element ``e + 1``. The matrix comes as its five diagonals,
+and its one solver is :func:`solve_interior`, which eliminates the
+midsides element by element (static condensation) and solves the
+tridiagonal system left on the vertices.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
-from .errors import InvalidMesh, MeshMismatch
+from .errors import InvalidMesh, MeshMismatch, SingularJacobian
 
 __all__ = [
     "REF_POINTS",
@@ -38,6 +44,7 @@ __all__ = [
     "eval_at_quadrature",
     "interior_band",
     "interior_load",
+    "solve_interior",
     "l2_norm",
     "trilinear_b",
 ]
@@ -206,9 +213,13 @@ def interior_band(mesh: Mesh1D, vv=0.0, vd=0.0, dd=0.0) -> np.ndarray:
 
     Each coefficient is a scalar or its ``3 * n_elems`` values at
     :func:`quadrature_points`. Row ``i`` tests with interior shape ``i``,
-    column ``j`` is the trial shape ``w``. The result has the
-    ``(5, n_nodes - 2)`` layout of ``scipy.linalg.solve_banded((2, 2), ...)``:
-    ``band[2 + i - j, j]`` holds entry ``(i, j)``.
+    column ``j`` is the trial shape ``w``. The result holds the five
+    diagonals in a ``(5, n_nodes - 2)`` array, ``band[2 + i - j, j]``
+    being entry ``(i, j)`` (BLAS general band storage, which ``dgbmv``
+    reads). A midside couples only to the vertices of its element, so
+    the entries two off the diagonal are nonzero in vertex columns only,
+    and the corner slots outside the matrix are zero. Solve with
+    :func:`solve_interior`.
     """
     element = (
         (0.5 * mesh.h) * (_per_element(mesh, vv) @ _VV)
@@ -228,6 +239,63 @@ def interior_load(mesh: Mesh1D, v, d) -> np.ndarray:
     element = (0.5 * mesh.h) * (v @ REF_SHAPE) + d @ REF_DSHAPE
     nodes, _, _ = _scatter_maps(mesh.n_elems)
     return np.bincount(nodes, element.ravel(), minlength=mesh.n_nodes)[1:-1]
+
+
+def solve_interior(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solution of ``M x = rhs`` for ``M`` in the layout of :func:`interior_band`.
+
+    Static condensation: each midside unknown couples only to the two
+    vertices of its element, so it is eliminated with its own diagonal
+    entry as the pivot. That leaves a tridiagonal Schur complement on the
+    ``n_elems - 1`` interior vertices, solved by one call of LAPACK's
+    ``dgtsv`` (LU with partial pivoting), after which the midsides are
+    back-substituted. Midside-midside slots and corner slots of ``band``
+    are not read.
+
+    Raises:
+        MeshMismatch: if ``band`` is not ``(5, n)`` for an odd ``n`` (an
+            interior layout) or ``rhs`` is not a vector of length ``n``.
+        SingularJacobian: if a midside pivot or a pivot of the vertex
+            system is exactly zero.
+    """
+    n_int = band.shape[-1]
+    if band.shape != (5, n_int) or rhs.shape != (n_int,) or n_int % 2 == 0:
+        raise MeshMismatch(
+            f"band of shape {band.shape} and right-hand side of shape "
+            f"{rhs.shape} are not one interior layout"
+        )
+    pivots = band[2, 0::2]
+    if not pivots.all():
+        raise SingularJacobian(
+            f"singular matrix: zero pivot at midside {np.flatnonzero(pivots == 0)[0]}"
+        )
+    mids = rhs[0::2] / pivots
+    if n_int == 1:
+        return mids
+    # Per vertex k (interior index v = 2k + 1): its row's entries a, c at
+    # the midsides v - 1 and v + 1, and the entries p, s of those
+    # midsides' rows at v, each over its midside's pivot.
+    a, c = band[3, 0:-1:2], band[1, 2::2]
+    p, s = band[1, 1::2] / pivots[:-1], band[3, 1::2] / pivots[1:]
+    diag = band[2, 1::2] - a * p - c * s
+    verts = rhs[1::2] - a * mids[:-1] - c * mids[1:]
+    if n_int > 3:
+        lower = band[4, 1:-2:2] - a[1:] * s[:-1]
+        upper = band[0, 3::2] - c[:-1] * p[1:]
+        _, _, _, verts, info = dgtsv(lower, diag, upper, verts, 1, 1, 1, 1)
+    elif diag[0]:  # one vertex: dgtsv refuses empty off-diagonals
+        verts, info = verts / diag, 0
+    else:
+        info = 1
+    if info > 0:
+        raise SingularJacobian(
+            f"singular matrix: zero pivot {info} of the vertex system"
+        )
+    mids[:-1] -= p * verts
+    mids[1:] -= s * verts
+    x = np.empty(n_int)
+    x[0::2], x[1::2] = mids, verts
+    return x
 
 
 def _integral(mesh: Mesh1D, values: np.ndarray) -> float:

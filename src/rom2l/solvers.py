@@ -10,8 +10,9 @@ in exactly one applied step from any start and an exact start converges
 in zero.
 
 The full-order solver works on the interior unknowns after subtracting a
-linear interpolant of the boundary data, and exploits the pentadiagonal
-structure of the quadratic-element Jacobian with a banded factorization.
+linear interpolant of the boundary data. Each Newton step is one call of
+:func:`fem.solve_interior`: the midside unknowns of the quadratic
+elements are condensed out, and the vertices solve a tridiagonal system.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg.lapack import dgesv
 
 from . import fem, rom
@@ -156,7 +156,7 @@ def _newton(x, linearize, solve, free, cfg: NewtonConfig, what: str) -> SolveOut
             )
         try:
             step = solve(jac, res)
-        except (np.linalg.LinAlgError, SingularJacobian) as exc:
+        except SingularJacobian as exc:
             raise SingularJacobian(
                 f"singular {what}Jacobian at iteration {steps}"
             ) from exc
@@ -282,7 +282,8 @@ def two_level_solve(
         raise SingularJacobian(
             f"singular correction Jacobian at dimension {R2}"
         ) from exc
-    res_norm = float(np.linalg.norm(matrix @ a2 - rhs))
+    res = matrix @ a2 - rhs
+    res_norm = math.sqrt(res @ res)
     outcome2 = SolveOutcome(
         coeffs=a2,
         iterations=1,
@@ -295,7 +296,8 @@ def two_level_solve(
 def _fom_residual_jacobian(
     mesh: Mesh1D, prob: BurgersProblem, u_coeffs: np.ndarray, f_quad: np.ndarray
 ):
-    """Interior residual and banded interior Jacobian at a full-order iterate.
+    """Interior residual and interior Jacobian, in the layout of
+    :func:`fem.interior_band`, at a full-order iterate.
 
     The residual tests ``nu (u', v') + (u u' - f, v)``; its derivative in
     the direction ``w`` is ``nu (w', v') + (u' w + u w', v)``.
@@ -308,14 +310,14 @@ def _fom_residual_jacobian(
 def fom_solve(
     mesh: Mesh1D, prob: BurgersProblem, cfg: NewtonConfig | None = None
 ) -> FeFunction:
-    """Solve the full-order problem by Newton with a banded direct solver.
+    """Solve the full-order problem by Newton, each step by :func:`fem.solve_interior`.
 
     The iteration starts from the linear interpolant of the boundary
     data and updates only the interior unknowns, so the boundary values
     are satisfied exactly at every iterate.
 
     Raises:
-        SingularJacobian: if a banded Newton system is singular.
+        SingularJacobian: if a Newton system is singular.
         NoConvergence: if the stopping rules are not met in time.
     """
     cfg = cfg or NewtonConfig()
@@ -328,7 +330,7 @@ def fom_solve(
     outcome = _newton(
         u,
         lambda u: _fom_residual_jacobian(mesh, prob, u, f_quad),
-        lambda band, res: sla.solve_banded((2, 2), band, res),
+        fem.solve_interior,
         u[1:-1],
         cfg,
         "full-order ",

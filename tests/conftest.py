@@ -76,6 +76,22 @@ def rng():
 
 
 @pytest.fixture(scope="session")
+def band_to_dense():
+    """Expander of a ``(5, n)`` band in the layout of :func:`fem.interior_band`,
+    where ``band[2 + i - j, j]`` holds entry ``(i, j)``, to its dense matrix."""
+
+    def expand(band):
+        n = band.shape[1]
+        dense = np.zeros((n, n))
+        for d in range(-2, 3):  # d = i - j
+            j = np.arange(max(0, -d), min(n, n - d))
+            dense[j + d, j] = band[2 + d, j]
+        return dense
+
+    return expand
+
+
+@pytest.fixture(scope="session")
 def convection_tensor():
     """Assembler of the convection tensor ``B[i, j, k] = (phi_j * phi_k', phi_i)``
     of a basis's first ``r`` modes, one full slab per ``i``, built from

@@ -7,7 +7,7 @@ import pytest
 
 from rom2l import fem
 from rom2l.checks import IDENTITY_MAX
-from rom2l.errors import InvalidMesh, MeshMismatch
+from rom2l.errors import InvalidMesh, MeshMismatch, SingularJacobian
 from rom2l.fem import (
     FeFunction,
     build_mesh,
@@ -17,22 +17,13 @@ from rom2l.fem import (
     interior_load,
     l2_norm,
     quadrature_points,
+    solve_interior,
     trilinear_b,
 )
 
 
 def fe_from(mesh, coeffs):
     return FeFunction(mesh=mesh, coeffs=np.asarray(coeffs, dtype=float))
-
-
-def band_to_dense(band):
-    """Dense matrix of a ``(5, n)`` band with ``band[2 + i - j, j] = M[i, j]``."""
-    n = band.shape[1]
-    dense = np.zeros((n, n))
-    for d in range(-2, 3):  # d = i - j
-        j = np.arange(max(0, -d), min(n, n - d))
-        dense[j + d, j] = band[2 + d, j]
-    return dense
 
 
 def random_fe(mesh, rng, zero_boundary=False):
@@ -143,13 +134,13 @@ class TestAssembledForms:
             rtol=1e-12,
         )
 
-    def test_interior_matrices_are_positive_definite(self):
+    def test_interior_matrices_are_positive_definite(self, band_to_dense):
         mesh = build_mesh(0.0, 1.0, 0.125)
         for band in (interior_band(mesh, vv=1.0), interior_band(mesh, dd=1.0)):
             eigs = np.linalg.eigvalsh(band_to_dense(band))
             assert eigs.min() > 0.0
 
-    def test_interior_blocks_match_full_matrices(self, coarse_mesh, rng):
+    def test_interior_blocks_match_full_matrices(self, coarse_mesh, rng, band_to_dense):
         # Dense oracle from the shapes at the quadrature points:
         # V[g, j] = phi_j(x_g), D[g, j] = phi_j'(x_g), for random
         # coefficients at the quadrature points.
@@ -176,6 +167,55 @@ class TestAssembledForms:
             rtol=0,
             atol=1e-14 * np.max(np.abs(load)),
         )
+
+
+class TestSolveInterior:
+    """The condensed solve against a dense LU of the expanded band."""
+
+    @staticmethod
+    def random_band(n_elems, rng):
+        # Random values at the quadrature points, with a diffusion term
+        # in [1, 2) so the systems are well conditioned.
+        mesh = build_mesh(0.0, 1.0, 1.0 / n_elems)
+        vv, vd = rng.standard_normal((2, 3 * n_elems))
+        return interior_band(mesh, vv=vv, vd=vd, dd=1.0 + rng.random(3 * n_elems))
+
+    @pytest.mark.parametrize("n_elems", [1, 2, 3, 32])
+    def test_matches_a_dense_solve(self, n_elems, rng, band_to_dense):
+        band = self.random_band(n_elems, rng)
+        rhs = rng.standard_normal(band.shape[1])
+        inputs = band.copy(), rhs.copy()
+        x = solve_interior(band, rhs)
+        oracle = np.linalg.solve(band_to_dense(band), rhs)
+        scale = np.max(np.abs(oracle))
+        np.testing.assert_allclose(x, oracle, rtol=0, atol=1e-12 * scale)
+        # LAPACK overwrites only the solver's own temporaries.
+        np.testing.assert_array_equal(band, inputs[0])
+        np.testing.assert_array_equal(rhs, inputs[1])
+
+    @pytest.mark.parametrize("n_elems", [1, 3])
+    def test_zero_midside_pivot(self, n_elems, rng):
+        band = self.random_band(n_elems, rng)
+        band[2, 2 * (n_elems // 2)] = 0.0
+        with pytest.raises(SingularJacobian, match="zero pivot at midside"):
+            solve_interior(band, np.ones(band.shape[1]))
+
+    @pytest.mark.parametrize("n_elems", [2, 4])
+    def test_singular_vertex_system(self, n_elems, rng):
+        # No vertex row or column couples to anything, so the vertex
+        # system left after condensation is zero.
+        band = self.random_band(n_elems, rng)
+        band[:, 1::2] = 0.0
+        band[1, 0::2] = band[3, 0::2] = 0.0
+        with pytest.raises(SingularJacobian, match="of the vertex system"):
+            solve_interior(band, np.ones(band.shape[1]))
+
+    def test_rejects_a_layout_of_the_wrong_shape(self, rng):
+        band = self.random_band(3, rng)
+        with pytest.raises(MeshMismatch):
+            solve_interior(band, np.ones(4))
+        with pytest.raises(MeshMismatch):
+            solve_interior(band[:, :4], np.ones(4))
 
 
 class TestInterpolationAndNorms:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgesv
 
+from rom2l import solvers
 from rom2l.errors import (
     DimensionError,
     NoConvergence,
@@ -16,6 +17,7 @@ from rom2l.errors import (
 )
 from rom2l.fem import FeFunction, build_mesh, l2_norm, quadrature_points
 from rom2l.manufactured import BurgersProblem, exact_u, forcing_f, with_parameter
+from rom2l.pod import parameter_grid
 from rom2l.rom import RomOperators, RomWorkspace, residual
 from rom2l.solvers import (
     NewtonConfig,
@@ -372,7 +374,9 @@ class TestFomSolve:
         assert err < 1e-4
         assert err > 1e-9  # sanity: the discrete solve is not exact
 
-    def test_banded_jacobian_matches_central_differences(self, default_problem, rng):
+    def test_banded_jacobian_matches_central_differences(
+        self, default_problem, rng, band_to_dense
+    ):
         # The interior residual is quadratic in the nodal values, so central
         # differences are exact up to rounding; entries outside the five
         # stored diagonals must come out as zero.
@@ -381,11 +385,8 @@ class TestFomSolve:
         f_quad = forcing_f(prob, quadrature_points(mesh)[0])
         u = exact_u(prob, mesh.nodes) + 0.1 * rng.standard_normal(mesh.n_nodes)
         _, band = _fom_residual_jacobian(mesh, prob, u, f_quad)
+        dense = band_to_dense(band)
         n = mesh.n_nodes - 2
-        dense = np.zeros((n, n))
-        for offset in range(-2, 3):  # band[2 + i - j, j] holds J[i, j]
-            j = np.arange(max(0, offset), min(n, n + offset))
-            dense[j - offset, j] = band[2 - offset, j]
         eps = 1e-6
         fd = np.empty((n, n))
         for j in range(n):
@@ -395,6 +396,56 @@ class TestFomSolve:
             minus, _ = _fom_residual_jacobian(mesh, prob, u - e, f_quad)
             fd[:, j] = (plus - minus) / (2.0 * eps)
         assert np.linalg.norm(dense - fd) / np.linalg.norm(dense) <= 1e-8
+
+    def test_newton_matches_a_dense_step_oracle(
+        self, default_problem, coarse_mesh, band_to_dense, monkeypatch
+    ):
+        # The same Newton loop, each step a dense LU of the expanded
+        # Jacobian, takes as many steps to the same coefficients.
+        outcomes = []
+        newton = solvers._newton
+
+        def spy(*args):
+            outcomes.append(newton(*args))
+            return outcomes[-1]
+
+        def dense_step(band, res):
+            return np.linalg.solve(band_to_dense(band), res)
+
+        monkeypatch.setattr(solvers, "_newton", spy)
+        x_q, _ = quadrature_points(coarse_mesh)
+        for q in parameter_grid(-4.0, 4.0, 0.5):
+            prob = with_parameter(default_problem, q)
+            u_h = fom_solve(coarse_mesh, prob)
+            f_quad = forcing_f(prob, x_q)
+            ends = [coarse_mesh.a, coarse_mesh.b], [prob.alpha, prob.beta]
+            u = np.interp(coarse_mesh.nodes, *ends)
+            oracle = newton(
+                u,
+                lambda u: _fom_residual_jacobian(coarse_mesh, prob, u, f_quad),
+                dense_step,
+                u[1:-1],
+                NewtonConfig(),
+                "",
+            )
+            assert outcomes[-1].iterations == oracle.iterations
+            np.testing.assert_allclose(u_h.coeffs, oracle.coeffs, rtol=0, atol=1e-13)
+
+    def test_singular_jacobian_names_its_iteration(self, default_problem, monkeypatch):
+        # A Jacobian whose vertex rows and columns vanish: the condensed
+        # solve's error reaches the caller as a singular full-order step.
+        def vertices_decoupled(*args):
+            res, band = _fom_residual_jacobian(*args)
+            band[:, 1::2] = 0.0
+            band[1, 0::2] = band[3, 0::2] = 0.0
+            return res, band
+
+        monkeypatch.setattr(solvers, "_fom_residual_jacobian", vertices_decoupled)
+        mesh = build_mesh(-4.0, 4.0, 0.5)
+        with pytest.raises(SingularJacobian) as excinfo:
+            fom_solve(mesh, default_problem)
+        assert str(excinfo.value) == "singular full-order Jacobian at iteration 0"
+        assert "of the vertex system" in str(excinfo.value.__cause__)
 
     def test_boundary_values_are_exact(self, default_problem):
         mesh = build_mesh(-4.0, 4.0, 0.5)
