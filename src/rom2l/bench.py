@@ -143,15 +143,15 @@ class ExperimentConfig:
     newton: NewtonConfig = NewtonConfig()
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError(f"reps must be at least 1, got {self.reps}")
-        if self.q_step <= 0:
+        if not isinstance(self.reps, (int, np.integer)) or self.reps < 1:
+            raise ValueError(f"reps must be at least 1 and integral, got {self.reps!r}")
+        if not self.q_step > 0:
             raise ValueError(f"q_step must be positive, got {self.q_step}")
         if self.q_values().size == 0:
             raise ValueError(
                 f"parameter grid from {self.q_start} to {self.q_end} has no values"
             )
-        if self.h <= 0:
+        if not self.h > 0:
             raise ValueError(f"element size must be positive, got {self.h}")
         if not 0 < self.rank_tol < 1:
             raise ValueError(f"rank_tol must lie in (0, 1), got {self.rank_tol}")
@@ -163,7 +163,9 @@ class ExperimentConfig:
         if not self.triples:
             raise ValueError("need at least one (r, R1, R2) triple")
         for t in self.triples:
-            r, r1, r2 = (int(v) for v in t)
+            if not all(isinstance(v, (int, np.integer)) for v in t):
+                raise DimensionError(f"bad dimension triple {t}: need integers")
+            r, r1, r2 = t
             if not (1 <= r <= r2 and 1 <= r1):
                 raise DimensionError(f"bad dimension triple {t}: need 1 <= r <= R2")
 

@@ -11,6 +11,11 @@ Four subcommands:
 * ``validate``: print one PASS/FAIL line per property check of
   :func:`rom2l.checks.run_checks`, where the checks and their bounds live.
 
+``exp1`` and ``exp2`` share one handler: a pair ``r:R`` is the triple
+``r:R:R``, and both refuse a spec unless ``r < R2``, its last part. The
+one-level model is the two-level model without its correction; both run
+through one routine of :mod:`rom2l.solvers`.
+
 Exit codes: 0 success, 1 solver failures, failed validation checks or an
 ``error: ...`` message, 2 usage error.
 """
@@ -38,6 +43,14 @@ __all__ = ["cli_main", "script_entry"]
 
 # The problem flags, named after the BurgersProblem fields they set.
 _PROBLEM_FLAGS = ("a", "b", "alpha", "beta", "nu", "k", "sigma")
+# The experiment subcommands: the name of one dimension spec, its form,
+# whose last part is the correction dimension, and the subcommand help.
+_EXPERIMENTS = {
+    "exp1": ("pair", "r:R", "compare 1L at R with 2L (r, R) for r:R pairs"),
+    "exp2": (
+        "triple", "r:R1:R2", "compare 1L at R1 with 2L (r, R2) for r:R1:R2 triples"
+    ),
+}
 
 
 def _add_problem_args(parser: argparse.ArgumentParser) -> None:
@@ -112,27 +125,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p_off)
     p_off.add_argument("--out", required=True, help="basis file to write")
 
-    p_e1 = sub.add_parser(
-        "exp1", help="compare 1L at R with 2L (r, R) for r:R pairs"
-    )
-    _add_problem_args(p_e1)
-    p_e1.add_argument(
-        "--pairs", nargs="+", required=True, metavar="r:R", help="dimension pairs"
-    )
-    _add_experiment_args(p_e1)
-
-    p_e2 = sub.add_parser(
-        "exp2", help="compare 1L at R1 with 2L (r, R2) for r:R1:R2 triples"
-    )
-    _add_problem_args(p_e2)
-    p_e2.add_argument(
-        "--triples",
-        nargs="+",
-        required=True,
-        metavar="r:R1:R2",
-        help="dimension triples",
-    )
-    _add_experiment_args(p_e2)
+    for command, (noun, form, help_text) in _EXPERIMENTS.items():
+        p_exp = sub.add_parser(command, help=help_text)
+        _add_problem_args(p_exp)
+        p_exp.add_argument(
+            f"--{noun}s", dest="specs", nargs="+", required=True, metavar=form,
+            help=f"dimension {noun}s",
+        )
+        _add_experiment_args(p_exp)
 
     p_val = sub.add_parser("validate", help="run the built-in property checks")
     _add_problem_args(p_val)
@@ -175,7 +175,16 @@ def _cmd_offline(args) -> int:
     return 0
 
 
-def _run_and_report(args, triples) -> int:
+def _cmd_experiment(args, parser) -> int:
+    noun, form, _ = _EXPERIMENTS[args.command]
+    names = form.split(":")
+    big = names[-1]
+    triples = []
+    for text in args.specs:
+        d = _parse_dims(text, len(names), parser)
+        if d[0] >= d[-1]:
+            parser.error(f"{noun} {text!r}: need r < {big} (r >= {big} given)")
+        triples.append((d[0], d[1], d[-1]))
     cfg = _offline_config(
         args, triples=tuple(triples), guesses=tuple(args.guess), reps=args.reps
     )
@@ -190,26 +199,6 @@ def _run_and_report(args, triples) -> int:
         print(f"warning: {failures} solver failures recorded", file=sys.stderr)
         return 1
     return 0
-
-
-def _cmd_exp1(args, parser) -> int:
-    triples = []
-    for pair in args.pairs:
-        r, big_r = _parse_dims(pair, 2, parser)
-        if r >= big_r:
-            parser.error(f"pair {pair!r}: need r < R (r >= R given)")
-        triples.append((r, big_r, big_r))
-    return _run_and_report(args, triples)
-
-
-def _cmd_exp2(args, parser) -> int:
-    triples = []
-    for text in args.triples:
-        r, r1, r2 = _parse_dims(text, 3, parser)
-        if r >= r2:
-            parser.error(f"triple {text!r}: need r < R2 (r >= R2 given)")
-        triples.append((r, r1, r2))
-    return _run_and_report(args, triples)
 
 
 def _cmd_validate(args) -> int:
@@ -237,10 +226,8 @@ def cli_main(argv=None) -> int:
         )
         if args.command == "offline":
             return _cmd_offline(args)
-        if args.command == "exp1":
-            return _cmd_exp1(args, parser)
-        if args.command == "exp2":
-            return _cmd_exp2(args, parser)
+        if args.command in _EXPERIMENTS:
+            return _cmd_experiment(args, parser)
         return _cmd_validate(args)
     except SystemExit as exc:  # -h, usage errors and parser.error in handlers
         return int(exc.code) if exc.code is not None else 0

@@ -109,11 +109,11 @@ class RomWorkspace:
     """
 
     def __init__(self, basis: PodBasis, r_max: int, nu: float):
-        if not 1 <= r_max <= basis.rank:
+        if not (isinstance(r_max, (int, np.integer)) and 1 <= r_max <= basis.rank):
             raise DimensionError(
-                f"workspace dimension {r_max} outside [1, {basis.rank}]"
+                f"workspace dimension {r_max!r} is not an integer in [1, {basis.rank}]"
             )
-        if nu <= 0:
+        if not nu > 0:
             raise ValueError(f"viscosity must be positive, got {nu}")
         self.basis = basis
         self.r_max = int(r_max)

@@ -9,6 +9,11 @@ tolerances; the step is then not applied, so a linear problem converges
 in exactly one applied step from any start and an exact start converges
 in zero.
 
+The one-level model is Newton at ``R1``; the two-level model is Newton
+at ``r`` and one solve linearized at ``R2``, the two-grid step of Xu
+(SIAM J. Numer. Anal. 1996). So the one-level model is the two-level
+model without its correction, and both run through one routine.
+
 The full-order solver works on the interior unknowns after subtracting a
 linear interpolant of the boundary data. Each Newton step is one call of
 :func:`fem.solve_interior`: the midside unknowns of the quadratic
@@ -60,10 +65,12 @@ class NewtonConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.tol_residual <= 0 or self.tol_step <= 0:
+        if not (self.tol_residual > 0 and self.tol_step > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(
+                f"max_iter must be at least 1 and integral, got {self.max_iter!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -204,18 +211,36 @@ def make_guess(kind: str, r: int) -> np.ndarray:
     return g if kind == "ug" else 0.5 * g
 
 
-def _as_guess(guess, r: int):
-    return make_guess(guess, r) if isinstance(guess, str) else guess
-
-
-def _workspace_for(
-    basis: PodBasis, r: int, prob: BurgersProblem, workspace: RomWorkspace | None
-) -> RomWorkspace:
+def _reduced_solve(basis, dims, prob, guess, cfg, workspace):
+    """Newton at ``dims[0]`` on the operators at ``dims[-1]``, then one
+    linear correction at ``dims[-1]`` when ``dims`` is ``(r, R2)``
+    rather than ``(R1,)``; one outcome per entry of ``dims``."""
+    r, big_r = dims[0], dims[-1]
     if workspace is None:
-        return RomWorkspace(basis, r, prob.nu)
-    if workspace.basis is not basis:
+        workspace = RomWorkspace(basis, big_r, prob.nu)
+    elif workspace.basis is not basis:
         raise WorkspaceMismatch("workspace was built for a different basis")
-    return workspace
+    ops = workspace.operators(prob, big_r)
+    coarse_ops = ops if r == big_r else rom.restrict(ops, r)
+    if isinstance(guess, str):
+        guess = make_guess(guess, r)
+    coarse = newton_solve(coarse_ops, guess, cfg)
+    if len(dims) == 1:
+        return (coarse,)
+
+    matrix, rhs = rom.two_level_matrix_rhs(ops, coarse.coeffs)
+    try:
+        a2 = _solve_dense(matrix, rhs)
+    except SingularJacobian as exc:
+        raise SingularJacobian(
+            f"singular correction Jacobian at dimension {big_r}"
+        ) from exc
+    res = matrix @ a2 - rhs
+    res_norm = math.sqrt(res @ res)
+    return coarse, SolveOutcome(
+        coeffs=a2, iterations=1, final_residual_norm=res_norm,
+        residual_history=(res_norm,),
+    )
 
 
 def one_level_solve(
@@ -238,9 +263,7 @@ def one_level_solve(
         workspace: optional precomputed :class:`RomWorkspace` for
             ``basis``; pass one when solving many instances.
     """
-    ws = _workspace_for(basis, R1, prob, workspace)
-    ops = ws.operators(prob, R1)
-    return newton_solve(ops, _as_guess(guess, R1), cfg)
+    return _reduced_solve(basis, (R1,), prob, guess, cfg, workspace)[0]
 
 
 def two_level_solve(
@@ -258,6 +281,9 @@ def two_level_solve(
     dimension ``r``. The second stage zero-pads the coarse solution to
     ``R2`` and performs a single linear solve of the residual linearized
     about the padded vector; its outcome always reports one iteration.
+    :func:`one_level_solve` is this model without the second stage: both
+    run through one routine, so on one workspace the first stage equals
+    it at ``r``.
 
     ``r`` must satisfy ``1 <= r <= R2``; ``r == R2`` is degenerate (the
     correction step reproduces a Newton step at the fine dimension) and
@@ -271,26 +297,7 @@ def two_level_solve(
         SingularJacobian: if the Jacobian at the padded vector, the
             correction matrix, is singular.
     """
-    ws = _workspace_for(basis, R2, prob, workspace)
-    ops_fine = ws.operators(prob, R2)
-    outcome1 = newton_solve(rom.restrict(ops_fine, r), _as_guess(guess, r), cfg)
-
-    matrix, rhs = rom.two_level_matrix_rhs(ops_fine, outcome1.coeffs)
-    try:
-        a2 = _solve_dense(matrix, rhs)
-    except SingularJacobian as exc:
-        raise SingularJacobian(
-            f"singular correction Jacobian at dimension {R2}"
-        ) from exc
-    res = matrix @ a2 - rhs
-    res_norm = math.sqrt(res @ res)
-    outcome2 = SolveOutcome(
-        coeffs=a2,
-        iterations=1,
-        final_residual_norm=res_norm,
-        residual_history=(res_norm,),
-    )
-    return outcome1, outcome2
+    return _reduced_solve(basis, (r, R2), prob, guess, cfg, workspace)
 
 
 def _fom_residual_jacobian(

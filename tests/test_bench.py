@@ -54,9 +54,10 @@ def tiny_report(coarse_basis):
 
 
 class TestConfigValidation:
-    def test_reps_must_be_positive(self):
+    @pytest.mark.parametrize("reps", [0, 1.5], ids=["zero", "fraction"])
+    def test_reps_must_be_positive(self, reps):
         with pytest.raises(ValueError):
-            tiny_config(reps=0)
+            tiny_config(reps=reps)
 
     def test_unknown_guess_kind(self):
         with pytest.raises(ValueError):
@@ -69,6 +70,16 @@ class TestConfigValidation:
     def test_coarse_dimension_above_correction(self):
         with pytest.raises(DimensionError):
             tiny_config(triples=((5, 4, 4),))
+
+    @pytest.mark.parametrize("triple", [(4.5, 8, 8), (4, 8.0, 8)])
+    def test_non_integral_dimension(self, triple):
+        with pytest.raises(DimensionError):
+            tiny_config(triples=(triple,))
+
+    @pytest.mark.parametrize("field", ["q_step", "h"])
+    def test_nan_size_is_refused(self, field):
+        with pytest.raises(ValueError):
+            tiny_config(**{field: math.nan})
 
     def test_degenerate_triple_allowed(self):
         cfg = tiny_config(triples=((8, 8, 8),))

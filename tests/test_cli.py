@@ -35,10 +35,17 @@ class TestUsageErrors:
         for name in ("offline", "exp1", "exp2", "validate"):
             assert name in out
 
-    def test_exp1_rejects_inverted_pair(self, basis_file, capsys):
-        rc = cli_main(["exp1", "--pairs", "25:16", "--basis", basis_file])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["exp1", "--pairs", "25:16"], "pair '25:16': need r < R (r >= R given)"),
+         (["exp2", "--triples", "25:16:16"],
+          "triple '25:16:16': need r < R2 (r >= R2 given)")],
+        ids=["exp1", "exp2"],
+    )
+    def test_rejects_inverted_dims(self, basis_file, argv, message, capsys):
+        rc = cli_main([*argv, "--basis", basis_file])
         assert rc == 2
-        assert "need r < R" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_exp2_rejects_two_part_triple(self, basis_file, capsys):
         rc = cli_main(["exp2", "--triples", "2:6", "--basis", basis_file])

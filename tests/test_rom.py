@@ -446,6 +446,15 @@ class TestWorkspace:
             ws.operators(default_problem, 4)
         assert isinstance(excinfo.value, RomError)
 
+    @pytest.mark.parametrize("nu", [0.0, -1.0, np.nan])
+    def test_viscosity_must_be_positive(self, coarse_basis, nu):
+        with pytest.raises(ValueError, match="viscosity must be positive"):
+            RomWorkspace(coarse_basis, 4, nu)
+
+    def test_non_integral_dimension(self, coarse_basis, default_problem):
+        with pytest.raises(DimensionError):
+            RomWorkspace(coarse_basis, 4.5, default_problem.nu)
+
     def test_dimension_bounds(self, coarse_basis, default_problem):
         with pytest.raises(DimensionError):
             RomWorkspace(coarse_basis, coarse_basis.rank + 1, default_problem.nu)

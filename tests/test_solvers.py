@@ -50,11 +50,16 @@ class TestNewtonConfig:
         assert cfg.tol_step == 1e-10
         assert cfg.max_iter == 50
 
-    def test_validation(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tol_residual": 0.0}, {"tol_residual": np.nan}, {"tol_step": np.nan},
+         {"max_iter": 0}, {"max_iter": 2.5}],
+        ids=["zero-tolerance", "nan-residual-tolerance", "nan-step-tolerance",
+             "zero-max-iter", "fractional-max-iter"],
+    )
+    def test_validation(self, kwargs):
         with pytest.raises(ValueError):
-            NewtonConfig(tol_residual=0.0)
-        with pytest.raises(ValueError):
-            NewtonConfig(max_iter=0)
+            NewtonConfig(**kwargs)
 
 
 class TestNewtonSolve:
@@ -321,6 +326,21 @@ class TestTwoLevelSolve:
             FeFunction(mesh=mesh, coeffs=lift(coarse_basis, stage2.coeffs).coeffs - exact)
         )
         assert err2 < err1
+
+    @pytest.mark.parametrize("guess", ["ug", "avg"])
+    def test_coarse_stage_is_the_one_level_solve(
+        self, coarse_basis, default_problem, guess
+    ):
+        # Both models run through one routine, so on one workspace the
+        # coarse stage at r is the one-level solve at r, bit for bit.
+        ws = RomWorkspace(coarse_basis, 10, default_problem.nu)
+        for q in (-1.5, 0.37, 2.0):
+            prob = with_parameter(default_problem, q)
+            one = one_level_solve(coarse_basis, 6, prob, guess, None, ws)
+            stage1, _ = two_level_solve(coarse_basis, 6, 10, prob, guess, None, ws)
+            np.testing.assert_array_equal(stage1.coeffs, one.coeffs)
+            assert stage1.iterations == one.iterations
+            assert stage1.residual_history == one.residual_history
 
     def test_degenerate_dimensions_are_a_fixed_point(
         self, coarse_basis, default_problem
