@@ -57,7 +57,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import fem
-from .errors import DimensionError, NoConvergence, SingularJacobian
+from .errors import DimensionError, NoConvergence, SingularJacobian, check_dimension
 from .fem import FeFunction
 from .manufactured import BurgersProblem, exact_u, with_parameter
 from .pod import (
@@ -145,8 +145,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.reps, (int, np.integer)) or self.reps < 1:
             raise ValueError(f"reps must be at least 1 and integral, got {self.reps!r}")
-        if not self.q_step > 0:
-            raise ValueError(f"q_step must be positive, got {self.q_step}")
+        alpha, beta = self.problem.alpha, self.problem.beta
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise ValueError(f"boundary values must be finite, got {alpha} and {beta}")
         if self.q_values().size == 0:
             raise ValueError(
                 f"parameter grid from {self.q_start} to {self.q_end} has no values"
@@ -163,11 +164,10 @@ class ExperimentConfig:
         if not self.triples:
             raise ValueError("need at least one (r, R1, R2) triple")
         for t in self.triples:
-            if not all(isinstance(v, (int, np.integer)) for v in t):
-                raise DimensionError(f"bad dimension triple {t}: need integers")
             r, r1, r2 = t
-            if not (1 <= r <= r2 and 1 <= r1):
-                raise DimensionError(f"bad dimension triple {t}: need 1 <= r <= R2")
+            check_dimension(r1, 1, math.inf, f"triple {t}: R1")
+            check_dimension(r2, 1, math.inf, f"triple {t}: R2")
+            check_dimension(r, 1, r2, f"triple {t}: r")
 
     def q_values(self) -> np.ndarray:
         return parameter_grid(self.q_start, self.q_end, self.q_step)

@@ -47,6 +47,13 @@ class DimensionError(RomError):
     """A reduced dimension is out of range for the object it is used with."""
 
 
+def check_dimension(r, lower: int, upper: float, what: str = "dimension") -> None:
+    """Raise :class:`DimensionError` unless ``r`` is an ``int`` or
+    ``np.integer`` in ``[lower, upper]``: the one rule for a dimension."""
+    if not (isinstance(r, (int, np.integer)) and lower <= r <= upper):
+        raise DimensionError(f"{what} {r!r} is not an integer in [{lower}, {upper}]")
+
+
 class SingularJacobian(RomError):
     """A Newton iteration or the two-level correction step, which solves
     with the Jacobian at the padded coarse solution, hit a numerically

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -31,6 +32,7 @@ from .errors import (
     DimensionError,
     InvalidMesh,
     MeshMismatch,
+    check_dimension,
 )
 from .fem import FeFunction, Mesh1D
 from .manufactured import BurgersProblem, exact_u, with_parameter
@@ -121,9 +123,15 @@ def parameter_grid(start: float, stop: float, step: float) -> np.ndarray:
 
     The endpoint is included when it lands on the grid to within a
     relative tolerance of 1e-9, mirroring colon-range semantics.
+
+    Raises:
+        ValueError: if an end is not finite or ``step`` is not positive
+            and finite.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"grid ends must be finite, got {start} and {stop}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     n = int(np.floor((stop - start) / step + 1e-9))
     return start + step * np.arange(n + 1)
 
@@ -201,13 +209,6 @@ def compute_pod(snaps: SnapshotSet, rank_tol: float = DEFAULT_RANK_TOL) -> PodBa
     )
 
 
-def _check_rank(basis: PodBasis, r: int) -> None:
-    if not 1 <= r <= basis.rank:
-        raise DimensionError(
-            f"requested dimension {r} outside [1, {basis.rank}]"
-        )
-
-
 def project(basis: PodBasis, u: FeFunction, r: int) -> np.ndarray:
     """Reduced coefficients of ``u`` in the leading ``r`` modes.
 
@@ -216,7 +217,7 @@ def project(basis: PodBasis, u: FeFunction, r: int) -> np.ndarray:
     ``project(basis, lift(basis, a), r)`` recovers ``a`` exactly for any
     ``a`` of length ``r``.
     """
-    _check_rank(basis, r)
+    check_dimension(r, 1, basis.rank)
     if u.mesh.n_nodes != basis.mesh.n_nodes:
         raise MeshMismatch("function and basis live on different meshes")
     # The modes vanish on the boundary, so only the interior rows count.
@@ -231,7 +232,7 @@ def lift(basis: PodBasis, a: np.ndarray) -> FeFunction:
     a = np.asarray(a, dtype=float)
     if a.ndim != 1:
         raise DimensionError(f"coefficients must be a vector, got shape {a.shape}")
-    _check_rank(basis, a.size)
+    check_dimension(a.size, 1, basis.rank)
     coeffs = basis.mean.coeffs + basis.modes[:, : a.size] @ a
     return FeFunction(mesh=basis.mesh, coeffs=coeffs)
 
@@ -290,10 +291,10 @@ def load_basis(path) -> PodBasis:
     Raises:
         BadBasisFile: if the file has no basis header, its header or
             matrix is malformed, its mesh header does not describe a
-            mesh, its matrix does not match the header, or
-            its inner product tag is not ``"mass"``: :func:`project` would
-            return wrong coefficients for modes orthonormal in another
-            inner product.
+            mesh, its rank is below 1, its matrix does not match the
+            header, or its inner product tag is not ``"mass"``:
+            :func:`project` would return wrong coefficients for modes
+            orthonormal in another inner product.
     """
     try:
         return _read_basis(path)
@@ -326,6 +327,8 @@ def _read_basis(path) -> PodBasis:
     except InvalidMesh as exc:
         raise BadBasisFile(f"{path}: bad mesh header: {exc}") from exc
     rank = int(header["rank"])
+    if rank < 1:
+        raise BadBasisFile(f"{path}: header has rank {rank}, need at least 1")
     if table.shape != (mesh.n_nodes, rank + 1):
         raise BadBasisFile(
             f"{path}: matrix shape {table.shape} does not match header"

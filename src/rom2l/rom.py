@@ -36,9 +36,9 @@ restrict them instead of sampling and projecting the forcing again.
 A problem is checked once, when the workspace first serves it.
 
 :func:`shared_workspace` remembers the last workspace it assembled,
-with its basis, ``r_max`` and viscosity, so a caller that does not hold
-a workspace of its own (the harness) assembles it once per basis rather
-than once per call.
+with its basis, ``r_max`` and viscosity, so callers that hold no
+workspace (the harness and the solvers) assemble it once per basis
+rather than once per call.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fem
-from .errors import DimensionError, MeshMismatch, WorkspaceMismatch
+from .errors import DimensionError, MeshMismatch, WorkspaceMismatch, check_dimension
 from .manufactured import BurgersProblem, forcing_f
 from .pod import PodBasis
 
@@ -109,10 +109,7 @@ class RomWorkspace:
     """
 
     def __init__(self, basis: PodBasis, r_max: int, nu: float):
-        if not (isinstance(r_max, (int, np.integer)) and 1 <= r_max <= basis.rank):
-            raise DimensionError(
-                f"workspace dimension {r_max!r} is not an integer in [1, {basis.rank}]"
-            )
+        check_dimension(r_max, 1, basis.rank, "workspace dimension")
         if not nu > 0:
             raise ValueError(f"viscosity must be positive, got {nu}")
         self.basis = basis
@@ -195,7 +192,7 @@ class RomWorkspace:
 
         Raises:
             WorkspaceMismatch, MeshMismatch: from :meth:`forcing_values`.
-            DimensionError: if ``r`` is outside ``[1, r_max]``.
+            DimensionError: if ``r`` is not an integer in ``[1, r_max]``.
         """
         self.forcing_values(prob)  # admits prob and refills the memo if new
         return restrict(self._memo[1], r)
@@ -203,7 +200,8 @@ class RomWorkspace:
 
 @lru_cache(maxsize=1)
 def shared_workspace(basis: PodBasis, r_max: int, nu: float) -> RomWorkspace:
-    """The workspace of ``basis`` at ``r_max`` and ``nu``, assembled once.
+    """The workspace of ``basis`` at ``r_max`` and ``nu``, assembled once,
+    for callers that hold none: the harness, and the solvers given none.
 
     Only the last workspace is remembered: a request with the same basis
     object, the same ``r_max`` and the same ``nu`` gets it back, any
@@ -226,10 +224,9 @@ def restrict(ops: RomOperators, r: int) -> RomOperators:
     dimension ``r``; the load vector is sliced, not recomputed.
 
     Raises:
-        DimensionError: if ``r`` is outside ``[1, ops.dim]``.
+        DimensionError: if ``r`` is not an integer in ``[1, ops.dim]``.
     """
-    if not 1 <= r <= ops.dim:
-        raise DimensionError(f"dimension {r} outside [1, {ops.dim}]")
+    check_dimension(r, 1, ops.dim)
     return RomOperators(
         dim=r,
         linear=ops.linear[:r, :r],

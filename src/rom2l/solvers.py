@@ -30,6 +30,7 @@ from scipy.linalg.lapack import dgesv
 
 from . import fem, rom
 from .errors import DimensionError, NoConvergence, SingularJacobian, WorkspaceMismatch
+from .errors import check_dimension
 from .fem import FeFunction, Mesh1D
 from .manufactured import BurgersProblem, forcing_f
 from .pod import PodBasis
@@ -73,6 +74,10 @@ class NewtonConfig:
             )
 
 
+# The stopping rules of every solve given no config; frozen, so shared.
+_DEFAULT_CONFIG = NewtonConfig()
+
+
 @dataclass(frozen=True)
 class SolveOutcome:
     """Result of one nonlinear (or linearized) solve.
@@ -113,7 +118,7 @@ def newton_solve(
         NoConvergence: if the tolerances are not met within
             ``cfg.max_iter`` applied steps, or an iterate goes non-finite.
     """
-    cfg = cfg or NewtonConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     a = np.array(a0, dtype=float)
     if a.shape != (ops.dim,):
         raise DimensionError(
@@ -193,18 +198,15 @@ def make_guess(kind: str, r: int) -> np.ndarray:
     vector, which lifts to the snapshot mean.
 
     Raises:
-        DimensionError: if ``r < 2`` for the kinds that zero two entries.
+        DimensionError: if ``r`` is not an integer >= 2, or >= 1 for ``"avg"``.
         ValueError: for an unknown kind.
     """
     kind = kind.lower()
     if kind not in GUESS_KINDS:
         raise ValueError(f"unknown guess kind {kind!r}, expected one of {GUESS_KINDS}")
-    if r < 1:
-        raise DimensionError(f"guess length must be positive, got {r}")
+    check_dimension(r, 1 if kind == "avg" else 2, math.inf, f"{kind!r} guess length")
     if kind == "avg":
         return np.zeros(r)
-    if r < 2:
-        raise DimensionError(f"guess kind {kind!r} needs r >= 2, got {r}")
     g = np.zeros(r)
     g[: r - 2 : 2] = 1.0
     g[1 : r - 2 : 2] = -1.0
@@ -217,7 +219,7 @@ def _reduced_solve(basis, dims, prob, guess, cfg, workspace):
     rather than ``(R1,)``; one outcome per entry of ``dims``."""
     r, big_r = dims[0], dims[-1]
     if workspace is None:
-        workspace = RomWorkspace(basis, big_r, prob.nu)
+        workspace = rom.shared_workspace(basis, big_r, prob.nu)
     elif workspace.basis is not basis:
         raise WorkspaceMismatch("workspace was built for a different basis")
     ops = workspace.operators(prob, big_r)
@@ -259,9 +261,10 @@ def one_level_solve(
         prob: problem instance (parameter and viscosity).
         guess: starting vector, either a kind name from
             :func:`make_guess` or an explicit vector of length ``R1``.
-        cfg: Newton stopping rules.
-        workspace: optional precomputed :class:`RomWorkspace` for
-            ``basis``; pass one when solving many instances.
+        cfg: Newton stopping rules; ``None`` for the defaults.
+        workspace: a :class:`RomWorkspace` of ``basis`` at ``R1`` or
+            above; ``None`` takes the one :func:`rom.shared_workspace`
+            keeps for ``basis``, ``R1`` and ``prob.nu``.
     """
     return _reduced_solve(basis, (R1,), prob, guess, cfg, workspace)[0]
 
@@ -287,13 +290,14 @@ def two_level_solve(
 
     ``r`` must satisfy ``1 <= r <= R2``; ``r == R2`` is degenerate (the
     correction step reproduces a Newton step at the fine dimension) and
-    is allowed for testing.
+    is allowed for testing. ``guess`` (of length ``r``), ``cfg`` and
+    ``workspace`` (at ``R2``) are as for :func:`one_level_solve`.
 
     Returns:
         Pair of outcomes ``(coarse stage, correction stage)``.
 
     Raises:
-        DimensionError: from :func:`rom.restrict` if ``r`` is outside ``[1, R2]``.
+        DimensionError: if ``r`` is not an integer in ``[1, R2]``.
         SingularJacobian: if the Jacobian at the padded vector, the
             correction matrix, is singular.
     """
@@ -327,7 +331,7 @@ def fom_solve(
         SingularJacobian: if a Newton system is singular.
         NoConvergence: if the stopping rules are not met in time.
     """
-    cfg = cfg or NewtonConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     xq, _ = fem.quadrature_points(mesh)
     f_quad = forcing_f(prob, xq)
     u = prob.alpha + (prob.beta - prob.alpha) * (mesh.nodes - mesh.a) / (

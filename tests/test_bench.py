@@ -71,10 +71,24 @@ class TestConfigValidation:
         with pytest.raises(DimensionError):
             tiny_config(triples=((5, 4, 4),))
 
-    @pytest.mark.parametrize("triple", [(4.5, 8, 8), (4, 8.0, 8)])
+    @pytest.mark.parametrize(
+        "triple", [(4.5, 8, 8), (4, 8.0, 8), (4, 8, 8.0), (4, 8, None)]
+    )
     def test_non_integral_dimension(self, triple):
         with pytest.raises(DimensionError):
             tiny_config(triples=(triple,))
+
+    def test_numpy_integer_dimensions_are_accepted(self):
+        triple = tuple(np.int64(v) for v in (4, 8, 8))
+        assert tiny_config(triples=(triple,)).triples == ((4, 8, 8),)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", math.nan), ("alpha", math.inf), ("beta", -math.inf)],
+    )
+    def test_non_finite_boundary_value_is_refused(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            tiny_config(problem=BurgersProblem(**{field: value}))
 
     @pytest.mark.parametrize("field", ["q_step", "h"])
     def test_nan_size_is_refused(self, field):

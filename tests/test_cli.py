@@ -96,9 +96,14 @@ class TestUsageErrors:
           "has no values"),
          (["offline", "--rank-tol", "1.5", *COARSE, "--out", "unused.txt"],
           "must lie in (0, 1)"),
-         (["validate", "--rank-tol", "1.5", *COARSE], "must lie in (0, 1)")],
+         (["validate", "--rank-tol", "1.5", *COARSE], "must lie in (0, 1)"),
+         (["offline", "--alpha", "nan", *COARSE, "--out", "unused.txt"],
+          "must be finite"),
+         (["exp1", "--pairs", "4:8", "--beta", "inf", *COARSE], "must be finite"),
+         (["exp1", "--pairs", "4:8", "--q-end", "inf"], "must be finite")],
         ids=["offline-h", "exp1-q-step", "exp1-reps", "offline-q-range",
-             "exp1-q-range", "offline-rank-tol", "validate-rank-tol"],
+             "exp1-q-range", "offline-rank-tol", "validate-rank-tol",
+             "offline-alpha-nan", "exp1-beta-inf", "exp1-q-end-inf"],
     )
     def test_invalid_configuration_is_reported(
         self, argv, message, tmp_path, monkeypatch, capsys
@@ -238,6 +243,16 @@ class TestValidate:
         rc = cli_main(["validate", *COARSE, "--basis", str(path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_basis_without_modes_is_reported(self, basis_file, tmp_path, capsys):
+        path = tmp_path / "basis.txt"
+        with open(basis_file, encoding="utf-8") as fh:
+            header, *rows = fh.read().splitlines()
+        header = header.replace('"rank": 16', '"rank": 0')
+        path.write_text("\n".join([header, *(row.split(",")[0] for row in rows)]))
+        rc = cli_main(["validate", *COARSE, "--basis", str(path)])
+        assert rc == 1
+        assert "rank 0" in capsys.readouterr().err
 
     def test_default_flags_are_the_reference_configuration(self):
         # validate checks the POD rank only when its flags give

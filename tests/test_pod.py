@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -37,8 +38,12 @@ class TestParameterGrid:
         np.testing.assert_allclose(grid, [0.0, 0.3, 0.6, 0.9])
 
     def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            parameter_grid(0.0, 1.0, 0.0)
+        for start, stop, step in [
+            (0.0, 1.0, 0.0), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
+            (0.0, math.inf, 0.1), (-math.inf, 1.0, 0.1), (math.nan, 1.0, 0.1),
+        ]:
+            with pytest.raises(ValueError):
+                parameter_grid(start, stop, step)
 
 
 class TestSnapshots:
@@ -220,6 +225,10 @@ class TestProjectAndLift:
             project(coarse_basis, u, coarse_basis.rank + 1)
         with pytest.raises(DimensionError):
             lift(coarse_basis, np.zeros((2, 2)))
+        for r in (2.5, 3.0, "3"):
+            with pytest.raises(DimensionError):
+                project(coarse_basis, u, r)
+        assert project(coarse_basis, u, np.int64(3)).shape == (3,)
 
     def test_full_rank_reconstruction_of_member_snapshots(
         self, default_problem, coarse_basis, coarse_mesh
@@ -277,6 +286,17 @@ class TestSaveLoad:
         assert edit[0] in text
         path.write_text(text.replace(edit[0], edit[1], 1))
         with pytest.raises(BadBasisFile):
+            load_basis(path)
+
+    def test_rank_zero_is_refused(self, coarse_basis, tmp_path):
+        # A header and table that agree on no modes at all.
+        path = tmp_path / "basis.txt"
+        save_basis(coarse_basis, path)
+        header, *rows = path.read_text().splitlines()
+        assert '"rank": 16' in header
+        rows = [row.split(",")[0] for row in rows]
+        path.write_text("\n".join([header.replace('"rank": 16', '"rank": 0'), *rows]))
+        with pytest.raises(BadBasisFile, match="rank 0"):
             load_basis(path)
 
     @pytest.mark.parametrize(

@@ -407,8 +407,10 @@ class TestWorkspace:
     def test_restrict_dimension_bound(self, coarse_basis, default_problem):
         ws = RomWorkspace(coarse_basis, 8, default_problem.nu)
         ops = ws.operators(default_problem, 5)
-        with pytest.raises(DimensionError):
-            restrict(ops, 6)
+        for r in (6, 0, 2.5, 3.0, "3"):
+            with pytest.raises(DimensionError):
+                restrict(ops, r)
+        assert restrict(ops, np.int64(3)).linear.shape == (3, 3)
 
     def test_fingerprint_is_stable_across_processes(self):
         # bytes hashing with the built-in hash() is salted per process;

@@ -61,6 +61,22 @@ class TestNewtonConfig:
         with pytest.raises(ValueError):
             NewtonConfig(**kwargs)
 
+    def test_solves_without_a_config_construct_none(
+        self, default_problem, coarse_mesh, monkeypatch
+    ):
+        built = []
+        init = NewtonConfig.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(NewtonConfig, "__init__", spy)
+        ops = toy_ops(np.eye(2), np.zeros((2, 2, 2)), np.ones(2))
+        assert newton_solve(ops, np.zeros(2)).iterations == 1
+        fom_solve(coarse_mesh, default_problem)
+        assert built == []
+
 
 class TestNewtonSolve:
     def test_linear_problem_takes_one_step(self, rng):
@@ -242,6 +258,13 @@ class TestMakeGuess:
         with pytest.raises(DimensionError):
             make_guess("ug", 1)
 
+    @pytest.mark.parametrize(
+        "kind, r", [("avg", 0), ("avg", 2.5), ("ug", 4.0), ("ig", None)]
+    )
+    def test_length_outside_the_dimension_rule(self, kind, r):
+        with pytest.raises(DimensionError):
+            make_guess(kind, r)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_guess("random", 5)
@@ -280,6 +303,20 @@ class TestOneLevelSolve:
         direct = solve(coarse_basis, default_problem)
         shared = solve(coarse_basis, default_problem, workspace=ws)
         np.testing.assert_array_equal(direct.coeffs, shared.coeffs)
+        assert direct.iterations == shared.iterations
+        assert direct.final_residual_norm == shared.final_residual_norm
+        assert direct.residual_history == shared.residual_history
+
+    def test_solves_without_a_workspace_assemble_one(
+        self, coarse_basis, default_problem, workspace_builds
+    ):
+        # Both models at two values of q share the workspace that
+        # rom.shared_workspace keeps for (basis, 8, nu).
+        for q in (-0.5, 1.25):
+            prob = with_parameter(default_problem, q)
+            one_level_solve(coarse_basis, 8, prob, "ug")
+            two_level_solve(coarse_basis, 4, 8, prob, "ug")
+        assert workspace_builds == [(coarse_basis, 8, default_problem.nu)]
 
     def test_workspace_must_match_basis(
         self, coarse_basis, default_problem, coarse_mesh
@@ -300,6 +337,11 @@ class TestOneLevelSolve:
         ws = RomWorkspace(coarse_basis, 4, default_problem.nu)
         with pytest.raises(DimensionError):
             one_level_solve(coarse_basis, 8, default_problem, "avg", workspace=ws)
+        for workspace in (ws, None):
+            with pytest.raises(DimensionError):
+                one_level_solve(
+                    coarse_basis, 3.5, default_problem, "avg", None, workspace
+                )
 
 
 class TestTwoLevelSolve:
@@ -351,10 +393,14 @@ class TestTwoLevelSolve:
         np.testing.assert_allclose(stage1.coeffs, one.coeffs, atol=1e-12)
 
     def test_coarse_dimension_bound(self, coarse_basis, default_problem):
-        with pytest.raises(DimensionError):
-            two_level_solve(coarse_basis, 9, 8, default_problem, "avg")
-        with pytest.raises(DimensionError):
-            two_level_solve(coarse_basis, 0, 8, default_problem, "avg")
+        for r, big_r in ((9, 8), (0, 8), (2.5, 8), (4.0, 8), (4, 8.0)):
+            with pytest.raises(DimensionError):
+                two_level_solve(coarse_basis, r, big_r, default_problem, "avg")
+        numpy_dims = two_level_solve(
+            coarse_basis, np.int64(4), np.int64(8), default_problem, "ug"
+        )
+        plain = two_level_solve(coarse_basis, 4, 8, default_problem, "ug")
+        np.testing.assert_array_equal(numpy_dims[1].coeffs, plain[1].coeffs)
 
     def test_singular_correction_jacobian(self, coarse_basis, default_problem):
         # Rows 4.. of A zero and S zero: stage 1 at r = 4 is a regular
