@@ -3,7 +3,7 @@
 The package is organized in layers:
 
 * :mod:`rom2l.fem`: quadratic finite elements on a uniform 1D mesh:
-  banded assembly and its condensed solve, the L2 norm and the
+  element assembly and its condensed solve, the L2 norm and the
   convection form.
 * :mod:`rom2l.manufactured`: the closed-form solution family
   (``exact_u``) and its forcing (``forcing_f``).
@@ -32,6 +32,7 @@ from .fem import (
     FeFunction,
     Mesh1D,
     build_mesh,
+    element_matrices,
     interior_band,
     interior_load,
     l2_norm,

@@ -26,10 +26,11 @@ class MeshMismatch(RomError):
 
 
 class DegenerateSnapshots(RomError):
-    """The snapshot fluctuation matrix is identically zero.
+    """No POD basis can be extracted from the snapshots.
 
-    Happens when every snapshot equals the mean, e.g. a single-parameter
-    snapshot set, so no POD basis can be extracted.
+    Happens when the fluctuation matrix is identically zero, because every
+    snapshot equals the mean (e.g. a single-parameter snapshot set), or
+    when a snapshot has a non-finite entry.
     """
 
 

@@ -11,14 +11,17 @@ Element ``e`` of a mesh with ``n_elems`` elements owns the three global
 nodes ``2e``, ``2e + 1``, ``2e + 2`` (vertex, midside, vertex), so a mesh
 has ``2 * n_elems + 1`` nodes in total.
 
-All assembly goes through :func:`interior_band` and :func:`interior_load`,
-whose coefficients are scalars or values at the quadrature points. The
-interior unknowns are the nodes ``1 .. n_nodes - 2``: interior index
-``2e`` is the midside of element ``e`` and index ``2e + 1`` the vertex it
-shares with element ``e + 1``. The matrix comes as its five diagonals,
-and its one solver is :func:`solve_interior`, which eliminates the
-midsides element by element (static condensation) and solves the
-tridiagonal system left on the vertices.
+Every bilinear form is assembled from :func:`element_matrices`, whose
+coefficients are scalars or values at the quadrature points; the load
+vectors come from :func:`interior_load`. The interior unknowns are the
+nodes ``1 .. n_nodes - 2``: interior index ``2e`` is the midside of
+element ``e`` and index ``2e + 1`` the vertex it shares with element
+``e + 1``. The one solver, :func:`solve_interior`, reads the element
+matrices directly: it eliminates the midsides element by element (static
+condensation, Guyan, AIAA J. 1965) and solves the tridiagonal system left
+on the vertices, so no global matrix is formed. :func:`interior_band`
+assembles the element matrices into the five diagonals of the interior
+matrix, the form that banded Cholesky and ``dgbmv`` read.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "element_connectivity",
     "quadrature_points",
     "eval_at_quadrature",
+    "element_matrices",
     "interior_band",
     "interior_load",
     "solve_interior",
@@ -65,13 +69,13 @@ REF_DSHAPE = np.hstack([_XI - 0.5, -2.0 * _XI, _XI + 0.5])
 
 
 # Quadrature-weighted products of test shape l and trial shape m on the
-# reference element, column 3l + m: value-value, value-derivative and
-# derivative-derivative. An element matrix is a coefficient's three
-# values on the element times one of these.
+# reference element, row 3l + m: value-value, value-derivative and
+# derivative-derivative. An element matrix is one of these times a
+# coefficient's three values on the element.
 _W = REF_WEIGHTS[:, None, None]
-_VV = (_W * REF_SHAPE[:, :, None] * REF_SHAPE[:, None, :]).reshape(3, 9)
-_VD = (_W * REF_SHAPE[:, :, None] * REF_DSHAPE[:, None, :]).reshape(3, 9)
-_DD = (_W * REF_DSHAPE[:, :, None] * REF_DSHAPE[:, None, :]).reshape(3, 9)
+_VV = (_W * REF_SHAPE[:, :, None] * REF_SHAPE[:, None, :]).reshape(3, 9).T.copy()
+_VD = (_W * REF_SHAPE[:, :, None] * REF_DSHAPE[:, None, :]).reshape(3, 9).T.copy()
+_DD = (_W * REF_DSHAPE[:, :, None] * REF_DSHAPE[:, None, :]).reshape(3, 9).T.copy()
 # C-ordered transposes: a GEMM against these runs about three times
 # faster than against the transposed views.
 _SHAPE_T, _DSHAPE_T = REF_SHAPE.T.copy(), REF_DSHAPE.T.copy()
@@ -154,10 +158,18 @@ def quadrature_points(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray]:
         Pair ``(x, w)`` of flat arrays with ``3 * n_elems`` entries each,
         ordered element by element. The weights include the Jacobian
         ``h / 2``, so ``w @ g(x)`` approximates the integral of ``g``.
+        Both are built once per mesh and are read-only.
     """
+    return _quadrature(mesh)
+
+
+@lru_cache(maxsize=16)
+def _quadrature(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray]:
     mids = 0.5 * (mesh.nodes[0:-1:2] + mesh.nodes[2::2])
     x = (mids[:, None] + 0.5 * mesh.h * REF_POINTS[None, :]).ravel()
     w = np.tile(0.5 * mesh.h * REF_WEIGHTS, mesh.n_elems)
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 
@@ -181,7 +193,7 @@ def eval_at_quadrature(mesh: Mesh1D, coeffs: np.ndarray) -> tuple[np.ndarray, np
     # One (columns * n_elems, 3) block of element coefficients, so each
     # table product is a single GEMM.
     columns = c.T.reshape(-1, mesh.n_nodes)
-    local = columns[:, element_connectivity(mesh)].reshape(-1, 3)
+    local = columns.take(element_connectivity(mesh), axis=1).reshape(-1, 3)
     shape = c.shape[1:] + (-1,)
     vals = (local @ _SHAPE_T).reshape(shape).T
     ders = ((2.0 / mesh.h) * (local @ _DSHAPE_T)).reshape(shape).T
@@ -191,8 +203,9 @@ def eval_at_quadrature(mesh: Mesh1D, coeffs: np.ndarray) -> tuple[np.ndarray, np
 @lru_cache(maxsize=16)
 def _scatter_maps(n_elems: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Element-to-global index maps, built once per element count: ``nodes``
-    (global node of each load entry), ``keep`` (element matrix entries that
-    couple two interior nodes) and their flat indices in the band."""
+    (the global node of each local node, element by element), ``keep``
+    (the entries of element-major element matrices that couple two
+    interior nodes) and their flat indices in the band."""
     nodes = (2 * np.arange(n_elems)[:, None] + np.arange(3)).ravel()
     n_int = 2 * n_elems - 1
     rows = np.repeat(nodes - 1, 3)
@@ -202,86 +215,137 @@ def _scatter_maps(n_elems: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, keep, ((2 + rows - cols) * n_int + cols)[keep]
 
 
-def _per_element(mesh: Mesh1D, coef) -> np.ndarray:
-    """A scalar or quadrature-point coefficient as ``(n_elems, 3)`` values."""
-    coef = np.broadcast_to(np.asarray(coef, dtype=float), (3 * mesh.n_elems,))
-    return coef.reshape(-1, 3)
+@lru_cache(maxsize=16)
+def _point_weights(n_elems: int) -> np.ndarray:
+    """``REF_WEIGHTS`` at every quadrature point of ``n_elems`` elements,
+    built once per element count and read-only."""
+    weights = np.tile(REF_WEIGHTS, n_elems)
+    weights.setflags(write=False)
+    return weights
 
 
-def interior_band(mesh: Mesh1D, vv=0.0, vd=0.0, dd=0.0) -> np.ndarray:
-    """Interior matrix of the form ``(vv w + vd w', v) + (dd w', v')``.
+def _per_point(mesh: Mesh1D, coef) -> np.ndarray:
+    """A scalar or quadrature-point coefficient as its values on each
+    element, ``(3, n_elems)`` with row ``g`` at quadrature point ``g``."""
+    coef = np.asarray(coef, dtype=float)
+    if coef.ndim == 0:
+        return np.broadcast_to(coef, (3, mesh.n_elems))
+    if coef.shape != (3 * mesh.n_elems,):
+        raise MeshMismatch(
+            f"coefficient has shape {coef.shape}, mesh has "
+            f"{3 * mesh.n_elems} quadrature points"
+        )
+    return coef.reshape(-1, 3).T
+
+
+def element_matrices(mesh: Mesh1D, vv=None, vd=None, dd=None) -> np.ndarray:
+    """Element matrices of the form ``(vv w + vd w', v) + (dd w', v')``.
 
     Each coefficient is a scalar or its ``3 * n_elems`` values at
-    :func:`quadrature_points`. Row ``i`` tests with interior shape ``i``,
-    column ``j`` is the trial shape ``w``. The result holds the five
-    diagonals in a ``(5, n_nodes - 2)`` array, ``band[2 + i - j, j]``
-    being entry ``(i, j)`` (BLAS general band storage, which ``dgbmv``
-    reads). A midside couples only to the vertices of its element, so
-    the entries two off the diagonal are nonzero in vertex columns only,
-    and the corner slots outside the matrix are zero. Solve with
-    :func:`solve_interior`.
+    :func:`quadrature_points`; one left out adds nothing. Local node 0 is
+    an element's left vertex, 1 its midside and 2 its right vertex;
+    ``mats[3 * l + m, e]`` is the entry of element ``e`` testing with its
+    shape ``l`` against its trial shape ``m``. The result has shape
+    ``(9, n_elems)``, one contiguous row per entry, and sums entrywise
+    with the matrices of other coefficients. :func:`solve_interior`
+    solves the interior system they assemble to without assembling it;
+    :func:`interior_band` assembles it.
     """
-    element = (
-        (0.5 * mesh.h) * (_per_element(mesh, vv) @ _VV)
-        + _per_element(mesh, vd) @ _VD
-        + (2.0 / mesh.h) * (_per_element(mesh, dd) @ _DD)
-    )
+    mats = None
+    for table, scale, coef in (
+        (_VV, 0.5 * mesh.h, vv), (_VD, 1.0, vd), (_DD, 2.0 / mesh.h, dd)
+    ):
+        if coef is None:
+            continue
+        term = table @ _per_point(mesh, coef)
+        if scale != 1.0:
+            term *= scale
+        if mats is None:
+            mats = term
+        else:
+            mats += term
+    return np.zeros((9, mesh.n_elems)) if mats is None else mats
+
+
+def interior_band(mesh: Mesh1D, vv=None, vd=None, dd=None) -> np.ndarray:
+    """The interior matrix that :func:`element_matrices` of the same
+    arguments assembles to, in banded form.
+
+    Row ``i`` tests with interior shape ``i``, column ``j`` is the trial
+    shape. The result holds the five diagonals in a ``(5, n_nodes - 2)``
+    array, ``band[2 + i - j, j]`` being entry ``(i, j)`` (BLAS general
+    band storage, which ``dgbmv`` reads). A midside couples only to the
+    vertices of its element, so the entries two off the diagonal are
+    nonzero in vertex columns only, and the corner slots outside the
+    matrix are zero.
+    """
+    mats = element_matrices(mesh, vv, vd, dd)
     _, keep, band_index = _scatter_maps(mesh.n_elems)
     n_int = mesh.n_nodes - 2
-    band = np.bincount(band_index, element.ravel()[keep], minlength=5 * n_int)
+    band = np.bincount(band_index, mats.T.ravel()[keep], minlength=5 * n_int)
     return band.reshape(5, n_int)
 
 
 def interior_load(mesh: Mesh1D, v, d) -> np.ndarray:
     """Interior vector ``(v, phi_i) + (d, phi_i')``, coefficients as in
-    :func:`interior_band`."""
-    v, d = _per_element(mesh, v) * REF_WEIGHTS, _per_element(mesh, d) * REF_WEIGHTS
-    element = (0.5 * mesh.h) * (v @ REF_SHAPE) + d @ REF_DSHAPE
-    nodes, _, _ = _scatter_maps(mesh.n_elems)
-    return np.bincount(nodes, element.ravel(), minlength=mesh.n_nodes)[1:-1]
+    :func:`element_matrices`.
+
+    Each element's three loads are summed into the interior: a midside
+    takes its element's, an interior vertex those of its two elements.
+    """
+    weights = _point_weights(mesh.n_elems)
+    loads = _SHAPE_T @ _per_point(mesh, np.multiply(v, weights))
+    loads *= 0.5 * mesh.h
+    loads += _DSHAPE_T @ _per_point(mesh, np.multiply(d, weights))
+    load = np.empty(mesh.n_nodes - 2)
+    load[0::2] = loads[1]
+    np.add(loads[2, :-1], loads[0, 1:], out=load[1::2])
+    return load
 
 
-def solve_interior(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solution of ``M x = rhs`` for ``M`` in the layout of :func:`interior_band`.
+def solve_interior(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solution of ``M x = rhs`` for the interior matrix ``M`` that the
+    element matrices ``mats`` of :func:`element_matrices` assemble to.
 
-    Static condensation: each midside unknown couples only to the two
-    vertices of its element, so it is eliminated with its own diagonal
-    entry as the pivot. That leaves a tridiagonal Schur complement on the
-    ``n_elems - 1`` interior vertices, solved by one call of LAPACK's
-    ``dgtsv`` (LU with partial pivoting), after which the midsides are
-    back-substituted. Midside-midside slots and corner slots of ``band``
-    are not read.
+    Static condensation, read straight from the element matrices: each
+    midside unknown couples only to the two vertices of its element, so
+    it is eliminated with its own diagonal entry as the pivot. That
+    leaves a tridiagonal Schur complement on the ``n_elems - 1`` interior
+    vertices, solved by one call of LAPACK's ``dgtsv`` (LU with partial
+    pivoting), after which the midsides are back-substituted. ``rhs`` is
+    in the interior ordering of :func:`interior_load`.
 
     Raises:
-        MeshMismatch: if ``band`` is not ``(5, n)`` for an odd ``n`` (an
-            interior layout) or ``rhs`` is not a vector of length ``n``.
+        MeshMismatch: if ``mats`` is not ``(9, n_elems)`` or ``rhs`` is
+            not a vector of length ``2 * n_elems - 1``.
         SingularJacobian: if a midside pivot or a pivot of the vertex
             system is exactly zero.
     """
-    n_int = band.shape[-1]
-    if band.shape != (5, n_int) or rhs.shape != (n_int,) or n_int % 2 == 0:
+    n_elems = mats.shape[-1]
+    if mats.shape != (9, n_elems) or rhs.shape != (2 * n_elems - 1,):
         raise MeshMismatch(
-            f"band of shape {band.shape} and right-hand side of shape "
-            f"{rhs.shape} are not one interior layout"
+            f"element matrices of shape {mats.shape} and right-hand side of "
+            f"shape {rhs.shape} are not one interior layout"
         )
-    pivots = band[2, 0::2]
+    pivots = mats[4]
     if not pivots.all():
         raise SingularJacobian(
             f"singular matrix: zero pivot at midside {np.flatnonzero(pivots == 0)[0]}"
         )
     mids = rhs[0::2] / pivots
-    if n_int == 1:
+    if n_elems == 1:
         return mids
-    # Per vertex k (interior index v = 2k + 1): its row's entries a, c at
-    # the midsides v - 1 and v + 1, and the entries p, s of those
-    # midsides' rows at v, each over its midside's pivot.
-    a, c = band[3, 0:-1:2], band[1, 2::2]
-    p, s = band[1, 1::2] / pivots[:-1], band[3, 1::2] / pivots[1:]
-    diag = band[2, 1::2] - a * p - c * s
+    # Per interior vertex k, the right vertex of element k and the left
+    # of element k + 1: its row's entries a, c at the midsides of those
+    # elements, and the entries p, s of those midsides' rows at it, each
+    # over its midside's pivot.
+    a, c = mats[7, :-1], mats[1, 1:]
+    p, s = mats[5, :-1] / pivots[:-1], mats[3, 1:] / pivots[1:]
+    diag = (mats[8, :-1] + mats[0, 1:]) - a * p - c * s
     verts = rhs[1::2] - a * mids[:-1] - c * mids[1:]
-    if n_int > 3:
-        lower = band[4, 1:-2:2] - a[1:] * s[:-1]
-        upper = band[0, 3::2] - c[:-1] * p[1:]
+    if n_elems > 2:
+        lower = mats[6, 1:-1] - a[1:] * s[:-1]
+        upper = mats[2, 1:-1] - c[:-1] * p[1:]
         _, _, _, verts, info = dgtsv(lower, diag, upper, verts, 1, 1, 1, 1)
     elif diag[0]:  # one vertex: dgtsv refuses empty off-diagonals
         verts, info = verts / diag, 0
@@ -293,7 +357,7 @@ def solve_interior(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         )
     mids[:-1] -= p * verts
     mids[1:] -= s * verts
-    x = np.empty(n_int)
+    x = np.empty(mids.size + verts.size)
     x[0::2], x[1::2] = mids, verts
     return x
 

@@ -36,7 +36,7 @@ class BurgersProblem:
     Attributes:
         a, b: interval endpoints.
         alpha, beta: Dirichlet values at ``a`` and ``b``.
-        nu: viscosity, must be positive.
+        nu: viscosity, must be positive and finite.
         k: number of sine half-waves across the interval.
         sigma: width of the Gaussian envelope.
         q: center of the Gaussian envelope, the sweep parameter.
@@ -54,8 +54,8 @@ class BurgersProblem:
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
-        if not self.nu > 0:
-            raise ValueError(f"viscosity must be positive, got {self.nu}")
+        if not 0 < self.nu < np.inf:
+            raise ValueError(f"viscosity must be positive and finite, got {self.nu}")
         if not self.sigma > 0:
             raise ValueError(f"envelope width must be positive, got {self.sigma}")
 

@@ -176,12 +176,15 @@ def compute_pod(snaps: SnapshotSet, rank_tol: float = DEFAULT_RANK_TOL) -> PodBa
 
     Raises:
         ValueError: if ``rank_tol`` is outside (0, 1).
-        DegenerateSnapshots: if every snapshot equals the mean.
+        DegenerateSnapshots: if every snapshot equals the mean, or a
+            snapshot has a non-finite entry.
     """
     if not 0 < rank_tol < 1:
         raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol}")
     mesh = snaps.mesh
     mean = snaps.matrix.mean(axis=1)
+    if not np.isfinite(mean).all():  # a NaN or inf in a row reaches its mean
+        raise DegenerateSnapshots("the snapshot matrix has non-finite entries")
     fluct = snaps.matrix - mean[:, None]
     if not np.any(fluct):
         raise DegenerateSnapshots(

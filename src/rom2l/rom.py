@@ -105,13 +105,14 @@ class RomWorkspace:
     Args:
         basis: the POD basis.
         r_max: largest reduced dimension this workspace will serve.
-        nu: viscosity the operators are assembled with.
+        nu: viscosity the operators are assembled with, positive and
+            finite.
     """
 
     def __init__(self, basis: PodBasis, r_max: int, nu: float):
         check_dimension(r_max, 1, basis.rank, "workspace dimension")
-        if not nu > 0:
-            raise ValueError(f"viscosity must be positive, got {nu}")
+        if not 0 < nu < np.inf:
+            raise ValueError(f"viscosity must be positive and finite, got {nu}")
         self.basis = basis
         self.r_max = int(r_max)
         self.nu = float(nu)

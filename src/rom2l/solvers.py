@@ -15,9 +15,12 @@ at ``r`` and one solve linearized at ``R2``, the two-grid step of Xu
 model without its correction, and both run through one routine.
 
 The full-order solver works on the interior unknowns after subtracting a
-linear interpolant of the boundary data. Each Newton step is one call of
-:func:`fem.solve_interior`: the midside unknowns of the quadratic
-elements are condensed out, and the vertices solve a tridiagonal system.
+linear interpolant of the boundary data. Each linearization yields the
+interior residual and the Jacobian's element matrices
+(:func:`fem.element_matrices`), and each Newton step is one call of
+:func:`fem.solve_interior` on them: the midside unknowns of the quadratic
+elements are condensed out element by element, and the vertices solve a
+tridiagonal system. No global Jacobian is assembled.
 """
 
 from __future__ import annotations
@@ -305,17 +308,24 @@ def two_level_solve(
 
 
 def _fom_residual_jacobian(
-    mesh: Mesh1D, prob: BurgersProblem, u_coeffs: np.ndarray, f_quad: np.ndarray
+    mesh: Mesh1D,
+    prob: BurgersProblem,
+    u_coeffs: np.ndarray,
+    f_quad: np.ndarray,
+    diffusion: np.ndarray,
 ):
-    """Interior residual and interior Jacobian, in the layout of
-    :func:`fem.interior_band`, at a full-order iterate.
+    """Interior residual and the element matrices of the Jacobian
+    (:func:`fem.element_matrices`) at a full-order iterate.
 
     The residual tests ``nu (u', v') + (u u' - f, v)``; its derivative in
-    the direction ``w`` is ``nu (w', v') + (u' w + u w', v)``.
+    the direction ``w`` is ``nu (w', v') + (u' w + u w', v)``, whose
+    first term, ``diffusion``, does not depend on the iterate.
     """
     u, du = fem.eval_at_quadrature(mesh, u_coeffs)
     res = fem.interior_load(mesh, u * du - f_quad, prob.nu * du)
-    return res, fem.interior_band(mesh, vv=du, vd=u, dd=prob.nu)
+    jac = fem.element_matrices(mesh, vv=du, vd=u)
+    jac += diffusion
+    return res, jac
 
 
 def fom_solve(
@@ -334,13 +344,14 @@ def fom_solve(
     cfg = cfg or _DEFAULT_CONFIG
     xq, _ = fem.quadrature_points(mesh)
     f_quad = forcing_f(prob, xq)
+    diffusion = fem.element_matrices(mesh, dd=prob.nu)
     u = prob.alpha + (prob.beta - prob.alpha) * (mesh.nodes - mesh.a) / (
         mesh.b - mesh.a
     )
     u = u.astype(float)
     outcome = _newton(
         u,
-        lambda u: _fom_residual_jacobian(mesh, prob, u, f_quad),
+        lambda u: _fom_residual_jacobian(mesh, prob, u, f_quad, diffusion),
         fem.solve_interior,
         u[1:-1],
         cfg,

@@ -92,6 +92,23 @@ def band_to_dense():
 
 
 @pytest.fixture(scope="session")
+def elements_to_dense():
+    """Assembler of element matrices in the layout of
+    :func:`fem.element_matrices`, ``mats[3 * l + m, e]`` the entry of
+    element ``e`` (global nodes ``2e .. 2e + 2``) at local row ``l`` and
+    column ``m``, into the dense matrix on the interior nodes."""
+
+    def assemble(mats):
+        n_elems = mats.shape[1]
+        dense = np.zeros((2 * n_elems + 1, 2 * n_elems + 1))
+        for e in range(n_elems):
+            dense[2 * e:2 * e + 3, 2 * e:2 * e + 3] += mats[:, e].reshape(3, 3)
+        return dense[1:-1, 1:-1]
+
+    return assemble
+
+
+@pytest.fixture(scope="session")
 def convection_tensor():
     """Assembler of the convection tensor ``B[i, j, k] = (phi_j * phi_k', phi_i)``
     of a basis's first ``r`` modes, one full slab per ``i``, built from

@@ -100,10 +100,15 @@ class TestUsageErrors:
          (["offline", "--alpha", "nan", *COARSE, "--out", "unused.txt"],
           "must be finite"),
          (["exp1", "--pairs", "4:8", "--beta", "inf", *COARSE], "must be finite"),
-         (["exp1", "--pairs", "4:8", "--q-end", "inf"], "must be finite")],
+         (["exp1", "--pairs", "4:8", "--q-end", "inf"], "must be finite"),
+         (["exp1", "--pairs", "4:8", *COARSE, "--nu", "inf", "--reps", "1"],
+          "must be positive and finite"),
+         (["validate", *COARSE, "--nu", "inf"],
+          "must be positive and finite")],
         ids=["offline-h", "exp1-q-step", "exp1-reps", "offline-q-range",
              "exp1-q-range", "offline-rank-tol", "validate-rank-tol",
-             "offline-alpha-nan", "exp1-beta-inf", "exp1-q-end-inf"],
+             "offline-alpha-nan", "exp1-beta-inf", "exp1-q-end-inf",
+             "exp1-nu-inf", "validate-nu-inf"],
     )
     def test_invalid_configuration_is_reported(
         self, argv, message, tmp_path, monkeypatch, capsys

@@ -12,6 +12,7 @@ from rom2l.fem import (
     FeFunction,
     build_mesh,
     element_connectivity,
+    element_matrices,
     eval_at_quadrature,
     interior_band,
     interior_load,
@@ -76,6 +77,12 @@ class TestQuadrature:
             assert np.sum(w * x**k) == pytest.approx(exact, rel=1e-14)
         exact6 = (2.0**7 - 1.0) / 7.0
         assert abs(np.sum(w * x**6) - exact6) > 1e-8
+
+    def test_built_once_per_mesh_and_read_only(self, coarse_mesh):
+        x, w = quadrature_points(coarse_mesh)
+        again = quadrature_points(coarse_mesh)
+        assert again[0] is x and again[1] is w
+        assert not (x.flags.writeable or w.flags.writeable)
 
     def test_weights_sum_to_interval_length(self, coarse_mesh):
         _, w = quadrature_points(coarse_mesh)
@@ -169,53 +176,81 @@ class TestAssembledForms:
         )
 
 
+    def test_element_matrices_add_by_coefficient(self, coarse_mesh, rng):
+        vv, vd, dd = rng.standard_normal((3, 3 * coarse_mesh.n_elems))
+        parts = [
+            element_matrices(coarse_mesh, vv=vv),
+            element_matrices(coarse_mesh, vd=vd),
+            element_matrices(coarse_mesh, dd=dd),
+        ]
+        np.testing.assert_array_equal(
+            element_matrices(coarse_mesh, vv=vv, vd=vd, dd=dd),
+            parts[0] + parts[1] + parts[2],
+        )
+        assert element_matrices(coarse_mesh).shape == (9, coarse_mesh.n_elems)
+        assert not element_matrices(coarse_mesh).any()
+        with pytest.raises(MeshMismatch):
+            element_matrices(coarse_mesh, vv=vv[:-3])
+
+
 class TestSolveInterior:
-    """The condensed solve against a dense LU of the expanded band."""
+    """The condensed solve of element matrices against a dense LU of the
+    band they assemble to."""
 
     @staticmethod
-    def random_band(n_elems, rng):
+    def random_problem(n_elems, rng):
         # Random values at the quadrature points, with a diffusion term
         # in [1, 2) so the systems are well conditioned.
         mesh = build_mesh(0.0, 1.0, 1.0 / n_elems)
         vv, vd = rng.standard_normal((2, 3 * n_elems))
-        return interior_band(mesh, vv=vv, vd=vd, dd=1.0 + rng.random(3 * n_elems))
+        return mesh, {"vv": vv, "vd": vd, "dd": 1.0 + rng.random(3 * n_elems)}
+
+    @classmethod
+    def random_mats(cls, n_elems, rng):
+        mesh, coefs = cls.random_problem(n_elems, rng)
+        return element_matrices(mesh, **coefs)
 
     @pytest.mark.parametrize("n_elems", [1, 2, 3, 32])
     def test_matches_a_dense_solve(self, n_elems, rng, band_to_dense):
-        band = self.random_band(n_elems, rng)
-        rhs = rng.standard_normal(band.shape[1])
-        inputs = band.copy(), rhs.copy()
-        x = solve_interior(band, rhs)
-        oracle = np.linalg.solve(band_to_dense(band), rhs)
+        mesh, coefs = self.random_problem(n_elems, rng)
+        mats = element_matrices(mesh, **coefs)
+        rhs = rng.standard_normal(2 * n_elems - 1)
+        inputs = mats.copy(), rhs.copy()
+        x = solve_interior(mats, rhs)
+        oracle = np.linalg.solve(band_to_dense(interior_band(mesh, **coefs)), rhs)
         scale = np.max(np.abs(oracle))
         np.testing.assert_allclose(x, oracle, rtol=0, atol=1e-12 * scale)
         # LAPACK overwrites only the solver's own temporaries.
-        np.testing.assert_array_equal(band, inputs[0])
+        np.testing.assert_array_equal(mats, inputs[0])
         np.testing.assert_array_equal(rhs, inputs[1])
 
     @pytest.mark.parametrize("n_elems", [1, 3])
     def test_zero_midside_pivot(self, n_elems, rng):
-        band = self.random_band(n_elems, rng)
-        band[2, 2 * (n_elems // 2)] = 0.0
-        with pytest.raises(SingularJacobian, match="zero pivot at midside"):
-            solve_interior(band, np.ones(band.shape[1]))
+        mats = self.random_mats(n_elems, rng)
+        mats[4, n_elems // 2] = 0.0
+        with pytest.raises(SingularJacobian, match=f"zero pivot at midside {n_elems // 2}$"):
+            solve_interior(mats, np.ones(2 * n_elems - 1))
 
     @pytest.mark.parametrize("n_elems", [2, 4])
     def test_singular_vertex_system(self, n_elems, rng):
         # No vertex row or column couples to anything, so the vertex
-        # system left after condensation is zero.
-        band = self.random_band(n_elems, rng)
-        band[:, 1::2] = 0.0
-        band[1, 0::2] = band[3, 0::2] = 0.0
+        # system left after condensation is zero: every entry but the
+        # midside-midside one (row 3 * 1 + 1) vanishes.
+        mats = self.random_mats(n_elems, rng)
+        mats[[0, 1, 2, 3, 5, 6, 7, 8]] = 0.0
         with pytest.raises(SingularJacobian, match="of the vertex system"):
-            solve_interior(band, np.ones(band.shape[1]))
+            solve_interior(mats, np.ones(2 * n_elems - 1))
 
     def test_rejects_a_layout_of_the_wrong_shape(self, rng):
-        band = self.random_band(3, rng)
+        mats = self.random_mats(3, rng)
         with pytest.raises(MeshMismatch):
-            solve_interior(band, np.ones(4))
+            solve_interior(mats, np.ones(4))
         with pytest.raises(MeshMismatch):
-            solve_interior(band[:, :4], np.ones(4))
+            solve_interior(mats[:, :2], np.ones(4))
+        # The five diagonals of an interior band are not element matrices.
+        band = interior_band(build_mesh(0.0, 1.0, 1.0 / 3), vv=1.0)
+        with pytest.raises(MeshMismatch):
+            solve_interior(band, np.ones(5))
 
 
 class TestInterpolationAndNorms:

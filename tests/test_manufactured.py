@@ -47,6 +47,9 @@ class TestSolutionFamily:
     def test_validation(self):
         with pytest.raises(ValueError):
             BurgersProblem(nu=0.0)
+        for nu in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                BurgersProblem(nu=nu)
         with pytest.raises(ValueError):
             BurgersProblem(sigma=-1.0)
         with pytest.raises(ValueError):

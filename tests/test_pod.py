@@ -75,6 +75,17 @@ class TestSnapshots:
             compute_pod(snaps)
 
 
+    def test_non_finite_snapshots_are_refused(self, default_problem, coarse_mesh):
+        grid = parameter_grid(-4.0, 4.0, 0.5)
+        snaps = generate_snapshots(replace(default_problem, alpha=np.nan), grid, coarse_mesh)
+        with pytest.raises(DegenerateSnapshots, match="non-finite"):
+            compute_pod(snaps)
+        snaps = generate_snapshots(default_problem, grid, coarse_mesh)
+        snaps.matrix[5, 3] = np.inf
+        with pytest.raises(DegenerateSnapshots, match="non-finite"):
+            compute_pod(snaps)
+
+
 class TestComputePod:
     def test_known_rank_is_recovered(self, coarse_mesh, rng):
         # Synthetic snapshots of exact rank 3 around a nonzero mean.

@@ -448,7 +448,7 @@ class TestWorkspace:
             ws.operators(default_problem, 4)
         assert isinstance(excinfo.value, RomError)
 
-    @pytest.mark.parametrize("nu", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("nu", [0.0, -1.0, np.nan, np.inf])
     def test_viscosity_must_be_positive(self, coarse_basis, nu):
         with pytest.raises(ValueError, match="viscosity must be positive"):
             RomWorkspace(coarse_basis, 4, nu)

@@ -15,6 +15,7 @@ from rom2l.errors import (
     RomError,
     SingularJacobian,
 )
+from rom2l import fem
 from rom2l.fem import FeFunction, build_mesh, l2_norm, quadrature_points
 from rom2l.manufactured import BurgersProblem, exact_u, forcing_f, with_parameter
 from rom2l.pod import parameter_grid
@@ -440,33 +441,65 @@ class TestFomSolve:
         assert err < 1e-4
         assert err > 1e-9  # sanity: the discrete solve is not exact
 
-    def test_banded_jacobian_matches_central_differences(
-        self, default_problem, rng, band_to_dense
+    @staticmethod
+    def linearize(mesh, prob, u):
+        """Residual and element Jacobian at ``u``, as one Newton iterate of
+        :func:`fom_solve` forms them."""
+        f_quad = forcing_f(prob, quadrature_points(mesh)[0])
+        diffusion = fem.element_matrices(mesh, dd=prob.nu)
+        return _fom_residual_jacobian(mesh, prob, u, f_quad, diffusion)
+
+    def test_element_jacobian_matches_central_differences(
+        self, default_problem, rng, elements_to_dense
     ):
         # The interior residual is quadratic in the nodal values, so central
-        # differences are exact up to rounding; entries outside the five
-        # stored diagonals must come out as zero.
+        # differences are exact up to rounding; entries no element couples
+        # must come out as zero.
         mesh = build_mesh(-4.0, 4.0, 0.25)
         prob = with_parameter(default_problem, 0.3)
-        f_quad = forcing_f(prob, quadrature_points(mesh)[0])
         u = exact_u(prob, mesh.nodes) + 0.1 * rng.standard_normal(mesh.n_nodes)
-        _, band = _fom_residual_jacobian(mesh, prob, u, f_quad)
-        dense = band_to_dense(band)
+        _, mats = self.linearize(mesh, prob, u)
+        dense = elements_to_dense(mats)
         n = mesh.n_nodes - 2
         eps = 1e-6
         fd = np.empty((n, n))
         for j in range(n):
             e = np.zeros(mesh.n_nodes)
             e[j + 1] = eps
-            plus, _ = _fom_residual_jacobian(mesh, prob, u + e, f_quad)
-            minus, _ = _fom_residual_jacobian(mesh, prob, u - e, f_quad)
+            plus, _ = self.linearize(mesh, prob, u + e)
+            minus, _ = self.linearize(mesh, prob, u - e)
             fd[:, j] = (plus - minus) / (2.0 * eps)
         assert np.linalg.norm(dense - fd) / np.linalg.norm(dense) <= 1e-8
 
+    @pytest.mark.parametrize("nu", [1.0, 0.3])
+    def test_newton_step_matches_a_dense_jacobian(self, default_problem, rng, nu):
+        # Residual and Jacobian assembled densely from the shape values at
+        # the quadrature points, V[g, j] = phi_j(x_g) and D[g, j] =
+        # phi_j'(x_g): the condensed step equals a dense solve of them.
+        mesh = build_mesh(-4.0, 4.0, 0.25)
+        prob = with_parameter(replace(default_problem, nu=nu), -0.7)
+        u = exact_u(prob, mesh.nodes) + 0.1 * rng.standard_normal(mesh.n_nodes)
+        V, D = fem.eval_at_quadrature(mesh, np.eye(mesh.n_nodes))
+        x, w = quadrature_points(mesh)
+        uq, duq = V @ u, D @ u
+        res = nu * D.T @ (w * duq) + V.T @ (w * (uq * duq - forcing_f(prob, x)))
+        jac = nu * D.T @ (w[:, None] * D) + V.T @ (
+            (w * duq)[:, None] * V + (w * uq)[:, None] * D
+        )
+        oracle = np.linalg.solve(jac[1:-1, 1:-1], res[1:-1])
+        res_h, mats = self.linearize(mesh, prob, u)
+        np.testing.assert_allclose(
+            res_h, res[1:-1], rtol=0, atol=1e-13 * np.max(np.abs(res))
+        )
+        step = fem.solve_interior(mats, res_h)
+        np.testing.assert_allclose(
+            step, oracle, rtol=0, atol=1e-11 * np.max(np.abs(oracle))
+        )
+
     def test_newton_matches_a_dense_step_oracle(
-        self, default_problem, coarse_mesh, band_to_dense, monkeypatch
+        self, default_problem, coarse_mesh, elements_to_dense, monkeypatch
     ):
-        # The same Newton loop, each step a dense LU of the expanded
+        # The same Newton loop, each step a dense LU of the assembled
         # Jacobian, takes as many steps to the same coefficients.
         outcomes = []
         newton = solvers._newton
@@ -475,20 +508,18 @@ class TestFomSolve:
             outcomes.append(newton(*args))
             return outcomes[-1]
 
-        def dense_step(band, res):
-            return np.linalg.solve(band_to_dense(band), res)
+        def dense_step(mats, res):
+            return np.linalg.solve(elements_to_dense(mats), res)
 
         monkeypatch.setattr(solvers, "_newton", spy)
-        x_q, _ = quadrature_points(coarse_mesh)
         for q in parameter_grid(-4.0, 4.0, 0.5):
             prob = with_parameter(default_problem, q)
             u_h = fom_solve(coarse_mesh, prob)
-            f_quad = forcing_f(prob, x_q)
             ends = [coarse_mesh.a, coarse_mesh.b], [prob.alpha, prob.beta]
             u = np.interp(coarse_mesh.nodes, *ends)
             oracle = newton(
                 u,
-                lambda u: _fom_residual_jacobian(coarse_mesh, prob, u, f_quad),
+                lambda u: self.linearize(coarse_mesh, prob, u),
                 dense_step,
                 u[1:-1],
                 NewtonConfig(),
@@ -501,10 +532,9 @@ class TestFomSolve:
         # A Jacobian whose vertex rows and columns vanish: the condensed
         # solve's error reaches the caller as a singular full-order step.
         def vertices_decoupled(*args):
-            res, band = _fom_residual_jacobian(*args)
-            band[:, 1::2] = 0.0
-            band[1, 0::2] = band[3, 0::2] = 0.0
-            return res, band
+            res, mats = _fom_residual_jacobian(*args)
+            mats[[0, 1, 2, 3, 5, 6, 7, 8]] = 0.0
+            return res, mats
 
         monkeypatch.setattr(solvers, "_fom_residual_jacobian", vertices_decoupled)
         mesh = build_mesh(-4.0, 4.0, 0.5)
