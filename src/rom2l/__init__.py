@@ -6,7 +6,8 @@ The package is organized in layers:
   element assembly and its condensed solve, the L2 norm and the
   convection form.
 * :mod:`rom2l.manufactured`: the closed-form solution family
-  (``exact_u``) and its forcing (``forcing_f``).
+  (``exact_u``, ``exact_family``) and its forcing (``forcing_f``), both
+  sampled through the q-independent ``carrier``.
 * :mod:`rom2l.pod`: snapshot generation and the POD basis.
 * :mod:`rom2l.rom`: Galerkin-reduced operators.
 * :mod:`rom2l.solvers`: Newton solvers (reduced and full-order) and the
@@ -41,6 +42,9 @@ from .fem import (
 )
 from .manufactured import (
     BurgersProblem,
+    Carrier,
+    carrier,
+    exact_family,
     exact_u,
     forcing_f,
     with_parameter,

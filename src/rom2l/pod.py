@@ -35,7 +35,7 @@ from .errors import (
     check_dimension,
 )
 from .fem import FeFunction, Mesh1D
-from .manufactured import BurgersProblem, exact_u, with_parameter
+from .manufactured import BurgersProblem, exact_family
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -144,12 +144,12 @@ def generate_snapshots(
     Each column of the snapshot matrix is the nodal interpolant of the
     exact solution with the bump centered at the corresponding entry of
     ``q_values``. ``prob`` serves as the template; its own ``q`` is
-    ignored.
+    ignored. The carrier is evaluated once at the nodes and the envelope
+    once over all ``q`` (:func:`~rom2l.manufactured.exact_family`); each
+    column equals ``exact_u`` at its ``q``.
     """
     q_values = np.atleast_1d(np.asarray(q_values, dtype=float))
-    matrix = np.empty((mesh.n_nodes, q_values.size))
-    for j, q in enumerate(q_values):
-        matrix[:, j] = exact_u(with_parameter(prob, q), mesh.nodes)
+    matrix = exact_family(prob, q_values, mesh.nodes)
     return SnapshotSet(mesh=mesh, q_values=q_values, matrix=matrix, problem=prob)
 
 

@@ -33,7 +33,12 @@ reshaping contraction would copy them on every call. The workspace
 remembers the last problem it served with that problem's operators at
 ``r_max``, so repeated requests for one problem, at any dimension,
 restrict them instead of sampling and projecting the forcing again.
-A problem is checked once, when the workspace first serves it.
+A problem is checked once, when the workspace first serves it. For a
+new problem only the forcing's Gaussian envelope is evaluated: the
+workspace holds the rest of the forcing, the
+:class:`~rom2l.manufactured.Carrier` at its quadrature points, and
+rebuilds it only when a problem of another carrier key (interval,
+boundary values or ``k``) arrives.
 
 :func:`shared_workspace` remembers the last workspace it assembled,
 with its basis, ``r_max`` and viscosity, so callers that hold no
@@ -50,7 +55,7 @@ import numpy as np
 
 from . import fem
 from .errors import DimensionError, MeshMismatch, WorkspaceMismatch, check_dimension
-from .manufactured import BurgersProblem, forcing_f
+from .manufactured import BurgersProblem, Carrier, carrier, forcing_f
 from .pod import PodBasis
 
 __all__ = [
@@ -102,6 +107,10 @@ class RomWorkspace:
     symmetric, and mirrored into the other half; only its symmetrized
     form ``S`` is kept.
 
+    The forcing is sampled at the quadrature points ``quad_x``, through
+    the :class:`~rom2l.manufactured.Carrier` there of the last carrier
+    key served, held from one problem to the next.
+
     Args:
         basis: the POD basis.
         r_max: largest reduced dimension this workspace will serve.
@@ -144,8 +153,10 @@ class RomWorkspace:
         )
         self.load_map = (vals * wq[:, None]).T  # maps f at quad points to (f, phi_i)
         self._ends = (float(basis.mean.coeffs[0]), float(basis.mean.coeffs[-1]))
-        # The last problem served and its operators at r_max.
+        # The last problem served and its operators at r_max, and the
+        # carrier of the last carrier key served at quad_x.
         self._memo: tuple[BurgersProblem, RomOperators] | None = None
+        self._carrier: Carrier | None = None
 
     def forcing_values(self, prob: BurgersProblem) -> np.ndarray:
         """Load vector ``b`` of ``prob`` at ``r_max``.
@@ -153,7 +164,10 @@ class RomWorkspace:
         A problem other than the last one served is checked; an admitted
         one has its forcing sampled at the quadrature points, projected,
         and remembered with the operators in place of the last problem's
-        (the samples are not kept). A refused one leaves the memo as is.
+        (the samples are not kept). The sample reuses the held carrier
+        when the problem has its carrier key, else the carrier is built
+        anew and held in its place. A refused one leaves the memo and the
+        carrier as they are.
 
         Raises:
             WorkspaceMismatch: if ``prob`` has another viscosity than
@@ -181,7 +195,10 @@ class RomWorkspace:
                 raise MeshMismatch(
                     f"problem has {name}={value}, the basis mean has end value {end}"
                 )
-        load = self.constant_base - self.load_map @ forcing_f(prob, self.quad_x)
+        held = self._carrier
+        if held is None or held.key != prob.carrier_key:
+            held = self._carrier = carrier(prob.carrier_key, self.quad_x)
+        load = self.constant_base - self.load_map @ forcing_f(prob, held)
         self._memo = (prob, RomOperators(self.r_max, self.linear, self.symmetric, load))
         return load
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
@@ -35,7 +36,7 @@ from . import fem, rom
 from .errors import DimensionError, NoConvergence, SingularJacobian, WorkspaceMismatch
 from .errors import check_dimension
 from .fem import FeFunction, Mesh1D
-from .manufactured import BurgersProblem, forcing_f
+from .manufactured import BurgersProblem, Carrier, carrier, forcing_f
 from .pod import PodBasis
 from .rom import RomOperators, RomWorkspace
 
@@ -328,6 +329,13 @@ def _fom_residual_jacobian(
     return res, jac
 
 
+@lru_cache(maxsize=16)
+def _quadrature_carrier(mesh: Mesh1D, key: tuple) -> Carrier:
+    """The carrier of key ``key`` at the quadrature points of ``mesh``,
+    built once per mesh and key."""
+    return carrier(key, fem.quadrature_points(mesh)[0])
+
+
 def fom_solve(
     mesh: Mesh1D, prob: BurgersProblem, cfg: NewtonConfig | None = None
 ) -> FeFunction:
@@ -335,15 +343,17 @@ def fom_solve(
 
     The iteration starts from the linear interpolant of the boundary
     data and updates only the interior unknowns, so the boundary values
-    are satisfied exactly at every iterate.
+    are satisfied exactly at every iterate. The forcing is sampled once
+    per solve at the quadrature points, through the
+    :class:`~rom2l.manufactured.Carrier` there, which is held per mesh
+    and carrier key: a solve at a new ``q`` evaluates only the envelope.
 
     Raises:
         SingularJacobian: if a Newton system is singular.
         NoConvergence: if the stopping rules are not met in time.
     """
     cfg = cfg or _DEFAULT_CONFIG
-    xq, _ = fem.quadrature_points(mesh)
-    f_quad = forcing_f(prob, xq)
+    f_quad = forcing_f(prob, _quadrature_carrier(mesh, prob.carrier_key))
     diffusion = fem.element_matrices(mesh, dd=prob.nu)
     u = prob.alpha + (prob.beta - prob.alpha) * (mesh.nodes - mesh.a) / (
         mesh.b - mesh.a

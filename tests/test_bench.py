@@ -28,7 +28,13 @@ from rom2l.bench import (
 )
 from rom2l.errors import DimensionError
 from rom2l.fem import FeFunction, l2_norm
-from rom2l.manufactured import BurgersProblem, exact_u, forcing_f, with_parameter
+from rom2l.manufactured import (
+    BurgersProblem,
+    carrier,
+    exact_u,
+    forcing_f,
+    with_parameter,
+)
 from rom2l.pod import lift, reconstruction_error
 from rom2l.solvers import NewtonConfig, one_level_solve
 
@@ -303,7 +309,8 @@ class TestReducedCoordinateErrors:
         prob = with_parameter(coarse_basis.problem, q)
         mesh = coarse_basis.mesh
         exact = exact_u(prob, mesh.nodes)
-        split = _exact_split(coarse_basis, prob, coarse_basis.rank)
+        nodes = carrier(prob.carrier_key, mesh.nodes)
+        split = _exact_split(coarse_basis, prob, coarse_basis.rank, nodes)
         for R in (3, 8, 13, coarse_basis.rank):
             a = one_level_solve(coarse_basis, R, prob, "avg").coeffs
             diff = lift(coarse_basis, a).coeffs - exact

@@ -76,8 +76,11 @@ class TestSnapshots:
 
 
     def test_non_finite_snapshots_are_refused(self, default_problem, coarse_mesh):
+        # A problem cannot carry non-finite boundary data, so the NaN
+        # boundary row it would give is written in by hand.
         grid = parameter_grid(-4.0, 4.0, 0.5)
-        snaps = generate_snapshots(replace(default_problem, alpha=np.nan), grid, coarse_mesh)
+        snaps = generate_snapshots(default_problem, grid, coarse_mesh)
+        snaps.matrix[0] = np.nan
         with pytest.raises(DegenerateSnapshots, match="non-finite"):
             compute_pod(snaps)
         snaps = generate_snapshots(default_problem, grid, coarse_mesh)

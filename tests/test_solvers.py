@@ -571,7 +571,15 @@ class TestFomSolve:
         assert excinfo.value.last_iterate.shape == (mesh.n_nodes,)
 
     def test_non_finite_boundary_data(self):
+        # Refused with the problem, before any solve can start from it.
+        with pytest.raises(ValueError, match="boundary values must be finite"):
+            BurgersProblem(alpha=np.nan)
+
+    def test_non_finite_forcing(self):
+        # A finite problem whose forcing overflows: with sigma = 1e-300
+        # the envelope's derivatives are inf * 0 away from q.
         mesh = build_mesh(-4.0, 4.0, 0.25)
         with pytest.raises(NoConvergence, match="non-finite after 0 steps") as excinfo:
-            fom_solve(mesh, BurgersProblem(alpha=np.nan))
+            with np.errstate(over="ignore", invalid="ignore"):
+                fom_solve(mesh, BurgersProblem(sigma=1e-300))
         assert excinfo.value.last_iterate.shape == (mesh.n_nodes,) == (65,)
